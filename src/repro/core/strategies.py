@@ -29,7 +29,7 @@ import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import (
@@ -99,14 +99,6 @@ class SprintingStrategy(ABC):
     #: Short name used in result tables.
     name: str = "strategy"
 
-    #: True when :meth:`degree_upper_bound` depends only on the current
-    #: observation (no per-episode state accumulated via
-    #: :meth:`notify_realized`).  The kernel's quiescent fast-forward may
-    #: only replay a cached step when the strategy declares this, because a
-    #: stateful strategy can return a different bound for an identical
-    #: observation.
-    stateless_bound: ClassVar[bool] = False
-
     @abstractmethod
     def degree_upper_bound(self, obs: StrategyObservation) -> float:
         """Upper bound on the sprinting degree for this control period."""
@@ -119,8 +111,7 @@ class SprintingStrategy(ABC):
         observation with this ``max_degree`` the strategy would return
         exactly this value from :meth:`degree_upper_bound`, with no side
         effects — the span engine then skips building the observation and
-        polling the strategy each step.  Only meaningful alongside
-        ``stateless_bound``.
+        polling the strategy each step, and may replay steady cycles.
         """
         return None
 
@@ -160,7 +151,6 @@ class GreedyStrategy(SprintingStrategy):
     """
 
     name = "greedy"
-    stateless_bound = True
 
     def degree_upper_bound(self, obs: StrategyObservation) -> float:
         """Always the chip maximum: nothing but demand constrains Greedy."""
@@ -175,7 +165,6 @@ class FixedUpperBoundStrategy(SprintingStrategy):
     """A constant, pre-chosen upper bound — the Oracle's output format."""
 
     name = "fixed"
-    stateless_bound = True
 
     def __init__(self, upper_bound: float) -> None:
         require_positive(upper_bound, "upper_bound")

@@ -1,9 +1,8 @@
 """Vectorized many-facility batch kernel for the sprinting control loop.
 
 :class:`~repro.core.kernel.StepKernel` advances ONE facility per call; the
-Oracle grid search, the upper-bound sweep table, and the MPC rollout
-planner all evaluate MANY candidate upper bounds over the SAME trace, each
-candidate on its own facility copy.  :class:`VectorStepKernel` restates the
+Oracle grid search and the upper-bound sweep table evaluate MANY candidate
+upper bounds over the SAME trace, each candidate on its own facility copy.  :class:`VectorStepKernel` restates the
 kernel's hoisted affine/quadratic maps (trip-curve clamps, degree<->power
 maps, throughput quadratic, cooling split, UPS geometry) as numpy array
 operations over a batch axis: one :meth:`VectorStepKernel.step` call
@@ -28,9 +27,10 @@ are therefore preserved verbatim rather than simplified.
 
 Divergences from the scalar kernel, each bit-neutral:
 
-* The quiescent fast-forward cache is skipped: by that cache's own
-  contract a replayed step is bit-identical to recomputation, so always
-  recomputing cannot drift.
+* The scalar span engine's steady-cycle replay is not restated (the
+  batch has its own per-element latch): by the replay's own contract a
+  replayed step is bit-identical to recomputation, so recomputing cannot
+  drift.
 * The budget *fraction* is not computed per step: with a fixed bound it
   feeds only the strategy observation, which nothing reads.
 * A per-element failure (tank depletion, thermal emergency, breaker trip)
@@ -152,7 +152,8 @@ class _BreakerBank:
         )
         self.time_s = np.full(n, breaker._time_s, dtype=np.float64)
 
-    # Vector restatement of ``StepKernel._max_load_for_trip_time``.
+    # Vector restatement of ``CircuitBreaker.max_load_for_trip_time`` (as
+    # inlined in ``StepKernel._fit_power``).
     def max_load_for_trip_time(self, reserve_s: float) -> np.ndarray:
         c = self.consts
         head = 1.0 - self.trip_fraction

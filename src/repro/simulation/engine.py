@@ -74,6 +74,11 @@ def run_simulation(
     reported via ``fault_events`` / ``aborted_at_s`` on the result.
     Without a plan the historical behaviour is preserved bit-for-bit
     (including the exceptions).
+
+    Kernel runs (the default) step through the span engine either way: a
+    fault-free run is one segment, a faulted run one segment per stretch
+    between fault boundaries.  ``use_kernel=False`` steps the reference
+    controller sample by sample, the executable spec both must match.
     """
     datacenter.reset()
     controller = datacenter.controller(strategy, use_kernel=use_kernel)
@@ -93,12 +98,11 @@ def run_simulation(
     if fault_plan is None:
         # Span-compiled fast path: RLE spans + steady-cycle fast-forward,
         # bit-identical to per-sample stepping (the span differential
-        # suite pins this).  Faulted runs stay on the per-sample path
-        # below — every injected event lands between two specific samples.
+        # suite pins this).
         controller.run_trace(trace)
     else:
         aborted_at_s, fault_events = _run_with_faults(
-            datacenter, controller, trace, fault_plan
+            datacenter, controller, trace, fault_plan, use_kernel
         )
     return SimulationResult(
         trace=trace,
@@ -119,6 +123,7 @@ def _run_with_faults(
     controller: "SprintingController",
     trace: Trace,
     fault_plan: FaultPlan,
+    use_kernel: bool,
 ) -> "Tuple[Optional[float], List[FaultRecord]]":
     """Drive the trace with fault injection and graceful degradation.
 
@@ -126,21 +131,29 @@ def _run_with_faults(
     degraded), so downstream series accessors keep their alignment.  A
     capacity-destroying fault degrades the controller on the *same*
     sample — there is no step on which the error silently disappears.
+    Kernel runs go through span-engine segments
+    (:func:`_run_faulted_segments`); reference runs step sample by sample
+    through :func:`_faulted_sample`, the spec the segments must match.
     """
     injector = FaultInjector(fault_plan, datacenter)
-    aborted_at_s = None
+    degraded_at: Optional[int] = None
     try:
-        for i, demand in enumerate(trace):
-            time_s = i * trace.dt_s
-            _, _, degraded_now = _faulted_sample(
-                controller, injector, demand, time_s, i
+        if use_kernel:
+            degraded_at, _ = _run_faulted_segments(
+                controller, injector, trace, 0, len(trace)
             )
-            if degraded_now and aborted_at_s is None:
-                aborted_at_s = time_s
+        else:
+            for i, demand in enumerate(trace):
+                _, degraded_now = _faulted_sample(
+                    controller, injector, demand, i * trace.dt_s, i
+                )
+                if degraded_now and degraded_at is None:
+                    degraded_at = i
     finally:
         # Ratings/capacities mutated by the plan are restored so the
         # facility object can be reused (reset() only restores state).
         injector.restore_substrate()
+    aborted_at_s = None if degraded_at is None else degraded_at * trace.dt_s
     return aborted_at_s, injector.records
 
 
@@ -150,49 +163,135 @@ def _faulted_sample(
     demand: float,
     time_s: float,
     step_index: int,
-) -> "Tuple[ControlStep, bool, bool]":
-    """One fault-aware control period: the loop body of :func:`_run_with_faults`.
+) -> "Tuple[ControlStep, bool]":
+    """One fault-aware control period: the per-sample reference semantics.
 
-    Factored out so the shared-prefix Oracle search can resume a faulted
-    run mid-trace with the exact reference semantics.  Returns
-    ``(step, bound_applied, degraded_now)``: ``bound_applied`` is True when
-    the healthy controller attempted the step — i.e. the strategy's upper
-    bound participated in (or, by failing, terminated) the degree decision
-    for this sample — and ``degraded_now`` flags a degradation transition
-    on this sample.
+    Reference (``use_kernel=False``) runs loop over it, and the segment
+    runner steps degraded samples through it.  Returns ``(step,
+    degraded_now)``, the latter flagging a degradation transition on this
+    sample.
     """
-    if injector.apply_due(time_s):
-        # A plan event (or a restore of an expired one) just mutated the
-        # substrate behind the controller's back.  The quiescent
-        # fast-forward signature would catch any physics-relevant change
-        # on its own, but disarming here makes the invalidation structural
-        # rather than incidental: no cached step may ever straddle a
-        # fault-event boundary, whatever fields future fault kinds touch.
-        controller.clear_fast_forward()
+    injector.apply_due(time_s)
     effective = injector.effective_demand(demand, time_s)
     degraded_now = False
     if not controller.degraded:
         degradation = injector.take_degradation()
         if degradation is not None:
-            surviving_fraction, reason = degradation
             degraded_now = True
-            base = controller.cluster.capacity_at_degree(1.0)
-            controller.enter_degraded(surviving_fraction * base, time_s, reason)
-            injector.records.append(FaultRecord(time_s, "degraded", reason))
+            _degrade(controller, injector, time_s, *degradation)
     if controller.degraded:
-        step = controller.degraded_step(effective, time_s)
-        return step, False, degraded_now
+        return controller.degraded_step(effective, time_s), degraded_now
     try:
         step = controller.step(effective, time_s=time_s, step_index=step_index)
     except RECOVERABLE_FAULT_ERRORS as exc:
-        surviving_fraction = injector.surviving_capacity_for(exc)
-        base = controller.cluster.capacity_at_degree(1.0)
-        reason = f"{type(exc).__name__}: {exc}"
-        controller.enter_degraded(surviving_fraction * base, time_s, reason)
-        injector.records.append(FaultRecord(time_s, "degraded", reason))
-        step = controller.degraded_step(effective, time_s)
-        return step, True, True
-    return step, True, degraded_now
+        _degrade(
+            controller,
+            injector,
+            time_s,
+            injector.surviving_capacity_for(exc),
+            f"{type(exc).__name__}: {exc}",
+        )
+        return controller.degraded_step(effective, time_s), True
+    return step, degraded_now
+
+
+def _degrade(
+    controller: "SprintingController",
+    injector: FaultInjector,
+    time_s: float,
+    surviving_fraction: float,
+    reason: str,
+) -> None:
+    """Fall back to admission control on the surviving fleet, and log it."""
+    base = controller.cluster.capacity_at_degree(1.0)
+    controller.enter_degraded(surviving_fraction * base, time_s, reason)
+    injector.records.append(FaultRecord(time_s, "degraded", reason))
+
+
+def _segment_end(boundary_s: float, dt: float, start: int, stop: int) -> int:
+    """First sample index in ``(start, stop]`` whose time reaches ``boundary_s``.
+
+    ``stop`` when the boundary lies beyond the range.  Sample ``m`` runs
+    at ``m * dt``, and :meth:`FaultInjector.apply_due` fires on ``time_s
+    >= boundary``, so the comparison is made on exactly that product.
+    """
+    if math.isinf(boundary_s):
+        return stop
+    m = min(stop, max(start + 1, math.ceil(boundary_s / dt)))
+    while m > start + 1 and (m - 1) * dt >= boundary_s:
+        m -= 1
+    while m < stop and m * dt < boundary_s:
+        m += 1
+    return m
+
+
+def _run_faulted_segments(
+    controller: "SprintingController",
+    injector: FaultInjector,
+    trace: Trace,
+    start: int,
+    stop: int,
+) -> Tuple[Optional[int], int]:
+    """Run samples ``[start, stop)`` under fault injection, as segments.
+
+    Bit-identical to :func:`_faulted_sample` on every sample.  Due events
+    are applied at a sample, then the healthy stretch up to the next fault
+    boundary (:meth:`FaultInjector.next_boundary_s`) runs as one
+    span-engine segment over the effective demand, trace-gap holds
+    included.  A recoverable error escaping the segment degrades the
+    controller on exactly the failing sample; degraded samples keep
+    :meth:`~repro.core.controller.SprintingController.degraded_step`.
+
+    Returns ``(degraded_at, bound_until)``: the sample the controller
+    degraded on (``None`` if it stayed healthy), and one past the last
+    sample whose step the strategy bound took part in.
+    """
+    samples = trace.samples
+    dt = trace.dt_s
+    history = controller.history
+    degraded_at: Optional[int] = None
+    bound_until = start
+    i = start
+    while i < stop:
+        if controller.degraded:
+            _faulted_sample(controller, injector, float(samples[i]), i * dt, i)
+            i += 1
+            continue
+        injector.apply_due(i * dt)
+        end = _segment_end(injector.next_boundary_s(), dt, i, stop)
+        effective = [
+            injector.effective_demand(float(samples[m]), m * dt)
+            for m in range(i, end)
+        ]
+        forced = injector.take_degradation()
+        if forced is not None:
+            # A forced trip degrades before the sample is attempted.
+            degraded_at = i
+            _degrade(controller, injector, i * dt, *forced)
+        else:
+            rows = len(history)
+            try:
+                controller.run_trace(
+                    Trace(np.asarray(effective), dt_s=dt, name=trace.name),
+                    start_index=i,
+                )
+            except RECOVERABLE_FAULT_ERRORS as exc:
+                degraded_at = i + len(history) - rows
+                bound_until = degraded_at + 1
+                _degrade(
+                    controller,
+                    injector,
+                    degraded_at * dt,
+                    injector.surviving_capacity_for(exc),
+                    f"{type(exc).__name__}: {exc}",
+                )
+            else:
+                bound_until = end
+        if degraded_at is not None:
+            for m in range(degraded_at, end):
+                controller.degraded_step(effective[m - i], m * dt)
+        i = end
+    return degraded_at, bound_until
 
 
 def simulate_strategy(
@@ -426,13 +525,40 @@ def _fresh_run(
 
 
 def _resumed_run(
-    datacenter: DataCenter, bound: float, state: FacilityState
+    datacenter: DataCenter,
+    bound: float,
+    state: FacilityState,
+    injector: Optional[FaultInjector] = None,
 ) -> "SprintingController":
     """A fresh fixed-bound controller restored to a captured facility state."""
     controller = datacenter.controller(FixedUpperBoundStrategy(bound))
     controller.strategy.reset()
-    state.restore(datacenter, controller)
+    state.restore(datacenter, controller, injector=injector)
     return controller
+
+
+def _run_segment(
+    controller: "SprintingController", trace: Trace, start: int, stop: int
+) -> Optional[int]:
+    """Run samples ``[start, stop)`` of a fault-free run as one segment.
+
+    Returns the index of the sample whose step raised a non-configuration
+    :class:`~repro.errors.ReproError` — where the reference sweep's run of
+    this candidate fails — or ``None`` when every step committed.
+    """
+    if start >= stop:
+        return None
+    rows = len(controller.history)
+    try:
+        controller.run_trace(
+            Trace(trace.samples[start:stop], dt_s=trace.dt_s, name=trace.name),
+            start_index=start,
+        )
+    except ConfigurationError:
+        raise
+    except ReproError:
+        return start + len(controller.history) - rows
+    return None
 
 
 def _shared_prefix_no_faults(
@@ -441,7 +567,6 @@ def _shared_prefix_no_faults(
     candidates: Sequence[float],
 ) -> Tuple[float, float]:
     samples = trace.samples
-    dt = trace.dt_s
     n = int(samples.size)
     mask = samples > 1.0
     if not bool(mask.any()):
@@ -464,33 +589,27 @@ def _shared_prefix_no_faults(
     frontiers = sorted({k for k in frontier_of if k is not None})
 
     # Instrumented baseline: the largest candidate, from burst onset on a
-    # fresh facility (valid by _coast_safe), snapshotting ahead of each
-    # divergence frontier.
+    # fresh facility (valid by _coast_safe), run as segments cut at the
+    # divergence frontiers with a snapshot taken at each cut.
     controller = _fresh_run(datacenter, base_bound)
     snapshots: Dict[int, FacilityState] = {}
-    base_served = np.zeros(n)
     base_failed_at: Optional[int] = None
-    base_end: Optional[FacilityState] = None
-    for i in range(first, last + 1):
-        if i in frontiers:
-            snapshots[i] = FacilityState.capture(datacenter, controller)
-        try:
-            step = controller.step(
-                float(samples[i]), time_s=i * dt, step_index=i
-            )
-        except ConfigurationError:
-            raise
-        except ReproError:
-            base_failed_at = i
+    cut = first
+    for frontier in frontiers + [last + 1]:
+        base_failed_at = _run_segment(controller, trace, cut, frontier)
+        if base_failed_at is not None:
             break
-        base_served[i] = step.served
-    else:
+        if frontier <= last:
+            snapshots[frontier] = FacilityState.capture(datacenter, controller)
+        cut = frontier
+    base_served = np.zeros(n)
+    base_rows = controller.history.column("served")
+    base_served[first : first + base_rows.size] = base_rows
+    base_end: Optional[FacilityState] = None
+    base_perf = math.nan
+    if base_failed_at is None:
         base_end = FacilityState.capture(datacenter, controller)
-    base_perf = (
-        average_performance_improvement(base_served, trace)
-        if base_failed_at is None
-        else math.nan
-    )
+        base_perf = average_performance_improvement(base_served, trace)
 
     # Per-candidate suffixes from the divergence frontiers.
     performances = [math.nan] * len(candidates)
@@ -506,22 +625,11 @@ def _shared_prefix_no_faults(
             # Identical prefix through the failing step: fails identically.
             continue
         controller = _resumed_run(datacenter, float(bound), snapshots[frontier])
+        if _run_segment(controller, trace, frontier, last + 1) is not None:
+            continue
         served = np.zeros(n)
         served[first:frontier] = base_served[first:frontier]
-        failed = False
-        for i in range(frontier, last + 1):
-            try:
-                step = controller.step(
-                float(samples[i]), time_s=i * dt, step_index=i
-            )
-            except ConfigurationError:
-                raise
-            except ReproError:
-                failed = True
-                break
-            served[i] = step.served
-        if failed:
-            continue
+        served[frontier : last + 1] = controller.history.column("served")
         performances[idx] = average_performance_improvement(served, trace)
         end_states[idx] = FacilityState.capture(datacenter, controller)
 
@@ -542,23 +650,16 @@ def _shared_prefix_no_faults(
                 "oracle search failed: every candidate upper bound's run "
                 f"failed on trace {trace.name!r}"
             )
-        if last + 1 >= n:
-            return float(candidates[best_idx]), performances[best_idx]
-        state = end_states[best_idx]
-        assert state is not None  # finite performance implies a captured end
-        controller = _resumed_run(datacenter, float(candidates[best_idx]), state)
-        survived = True
-        for i in range(last + 1, n):
-            try:
-                controller.step(float(samples[i]), time_s=i * dt, step_index=i)
-            except ConfigurationError:
-                raise
-            except ReproError:
-                survived = False
-                break
-        if survived:
-            return float(candidates[best_idx]), performances[best_idx]
-        performances[best_idx] = math.nan
+        if last + 1 < n:
+            state = end_states[best_idx]
+            assert state is not None  # finite performance implies a captured end
+            controller = _resumed_run(
+                datacenter, float(candidates[best_idx]), state
+            )
+            if _run_segment(controller, trace, last + 1, n) is not None:
+                performances[best_idx] = math.nan
+                continue
+        return float(candidates[best_idx]), performances[best_idx]
 
 
 def _shared_prefix_with_faults(
@@ -568,12 +669,12 @@ def _shared_prefix_with_faults(
     fault_plan: FaultPlan,
 ) -> Tuple[float, float]:
     """Fault-plan variant: no coast (faults can mutate the quiescent prefix),
-    per-step needed degrees recorded from the live run (trace gaps hold the
-    last good demand), and no failure bookkeeping — recoverable errors
-    degrade the run instead of killing it, so every candidate finishes.
+    needed degrees taken from the effective demand the baseline logged
+    (trace gaps hold the last good demand), and no failure bookkeeping —
+    recoverable errors degrade the run instead of killing it, so every
+    candidate finishes.
     """
     samples = trace.samples
-    dt = trace.dt_s
     n = int(samples.size)
     mask = samples > 1.0
     if not bool(mask.any()):
@@ -581,46 +682,45 @@ def _shared_prefix_with_faults(
     last = n - 1 - int(np.argmax(mask[::-1]))
     eff, base_bound, eff_base = _effective_bounds(datacenter, candidates)
 
-    # Pass 1 — instrumented baseline over [0..last]: record the needed
-    # degree wherever the healthy controller attempted the step (the only
-    # samples where a bound can bind; degraded samples ignore bounds).
+    # Pass 1 — instrumented baseline over [0..last]: the needed degree of
+    # every sample whose step the bound took part in (the only samples
+    # where a bound can bind; degraded samples ignore bounds).
     controller = _fresh_run(datacenter, base_bound)
     injector = FaultInjector(fault_plan, datacenter)
-    base_served = np.zeros(n)
-    needed = [-math.inf] * (last + 1)
     try:
-        for i in range(last + 1):
-            step, bound_applied, _ = _faulted_sample(
-                controller, injector, float(samples[i]), i * dt, i
-            )
-            if bound_applied:
-                needed[i] = controller.last_needed_degree
-            base_served[i] = step.served
+        _, bound_until = _run_faulted_segments(
+            controller, injector, trace, 0, last + 1
+        )
     finally:
         # reset() only restores state; rating/capacity mutations must be
         # undone here or pass 2 would start on a pre-degraded substrate.
         injector.restore_substrate()
+    base_served = np.zeros(n)
+    base_served[: last + 1] = controller.history.column("served")
     base_perf = average_performance_improvement(base_served, trace)
+    cluster = datacenter.cluster
+    needed = [
+        cluster.degree_for_demand(d)
+        for d in controller.history.column("demand")[:bound_until].tolist()
+    ]
+    needed += [-math.inf] * (last + 1 - bound_until)
 
     frontier_of = [_divergence_step(needed, e, eff_base, 0) for e in eff]
     frontiers = sorted({k for k in frontier_of if k is not None})
 
     # Pass 2 — deterministic re-run of the baseline up to the deepest
-    # frontier, capturing pre-step snapshots (including injector state).
+    # frontier, capturing a snapshot (injector included) at each cut.
     snapshots: Dict[int, FacilityState] = {}
     if frontiers:
         controller = _fresh_run(datacenter, base_bound)
         injector = FaultInjector(fault_plan, datacenter)
-        for i in range(frontiers[-1] + 1):
-            if i in frontiers:
-                snapshots[i] = FacilityState.capture(
-                    datacenter, controller, injector=injector
-                )
-                if i == frontiers[-1]:
-                    break
-            _faulted_sample(
-                controller, injector, float(samples[i]), i * dt, i
+        cut = 0
+        for frontier in frontiers:
+            _run_faulted_segments(controller, injector, trace, cut, frontier)
+            snapshots[frontier] = FacilityState.capture(
+                datacenter, controller, injector=injector
             )
+            cut = frontier
 
     performances = [math.nan] * len(candidates)
     for idx, bound in enumerate(candidates):
@@ -628,17 +728,14 @@ def _shared_prefix_with_faults(
         if frontier is None:
             performances[idx] = base_perf
             continue
-        controller = datacenter.controller(FixedUpperBoundStrategy(float(bound)))
-        controller.strategy.reset()
         injector = FaultInjector(fault_plan, datacenter)
-        snapshots[frontier].restore(datacenter, controller, injector=injector)
+        controller = _resumed_run(
+            datacenter, float(bound), snapshots[frontier], injector
+        )
+        _run_faulted_segments(controller, injector, trace, frontier, last + 1)
         served = np.zeros(n)
         served[:frontier] = base_served[:frontier]
-        for i in range(frontier, last + 1):
-            step, _, _ = _faulted_sample(
-                controller, injector, float(samples[i]), i * dt, i
-            )
-            served[i] = step.served
+        served[frontier : last + 1] = controller.history.column("served")
         performances[idx] = average_performance_improvement(served, trace)
 
     best_idx = 0

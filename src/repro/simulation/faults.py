@@ -422,6 +422,22 @@ class FaultInjector:
             new.append(record)
         return new
 
+    def next_boundary_s(self) -> float:
+        """Earliest time at which :meth:`apply_due` would change anything.
+
+        That is the next pending event or armed expiry, ``math.inf`` when
+        neither is left.  Between two boundaries the substrate is frozen
+        as far as the plan is concerned, so the engine runs the samples in
+        between as one span-engine segment.  Telemetry gaps need no
+        boundary of their own: :meth:`effective_demand` realises them on
+        the demand fed into the segment.
+        """
+        boundary = self._pending[0].time_s if self._pending else math.inf
+        for expiry_s, _, _, _ in self._expiries:
+            if expiry_s < boundary:
+                boundary = expiry_s
+        return boundary
+
     def effective_demand(self, demand: float, time_s: float) -> float:
         """The demand the controller should see at ``time_s``.
 

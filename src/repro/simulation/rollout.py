@@ -48,9 +48,7 @@ from repro.core.strategies import (
     SprintingStrategy,
     StrategyObservation,
 )
-from repro.core.vector_kernel import VectorStepKernel
 from repro.errors import ConfigurationError, ReproError
-from repro.simulation.batch_facility import vector_oracle_enabled
 from repro.simulation.snapshot import FacilityState
 from repro.units import require_non_negative
 from repro.workloads.traces import Trace
@@ -181,19 +179,12 @@ class RolloutPlanner:
         controller: "SprintingController",
         strategy: MPCStrategy,
         forecast: ForecastProvider,
-        use_vector: bool = True,
     ) -> None:
         self._datacenter = datacenter
         self._controller = controller
         self._strategy = strategy
         self._forecast = forecast
         self._dt_s = float(datacenter.config.dt_s)
-        #: Score candidates as one vector-kernel batch instead of one
-        #: scalar forward run per candidate.  Element-wise bit-identical
-        #: to the scalar path; the module toggle in
-        #: :mod:`repro.simulation.batch_facility` also gates it so
-        #: ``--scalar-oracle`` forces the scalar rollouts too.
-        self.use_vector = use_vector
         #: Number of planning invocations this run (telemetry).
         self.plans = 0
         #: ``(bound, score)`` pairs from the most recent plan, in
@@ -227,21 +218,11 @@ class RolloutPlanner:
         best_score = -math.inf
         scores: List[Tuple[float, float]] = []
         try:
-            if self.use_vector and vector_oracle_enabled():
-                values = self._vector_rollout_scores(
-                    surrogate, demands, obs.time_s
+            for bound in self._strategy.candidate_bounds:
+                score = self._rollout_score(
+                    surrogate, bound, demands, obs.step_index
                 )
-                scores = [
-                    (bound, values[i])
-                    for i, bound in enumerate(self._strategy.candidate_bounds)
-                ]
-            else:
-                for bound in self._strategy.candidate_bounds:
-                    score = self._rollout_score(
-                        surrogate, bound, demands, obs.time_s, obs.step_index
-                    )
-                    scores.append((bound, score))
-            for bound, score in scores:
+                scores.append((bound, score))
                 # Strict first-wins argmax: the pinned Oracle tie-break.
                 if score > best_score:
                     best_score = score
@@ -259,73 +240,35 @@ class RolloutPlanner:
         surrogate: FacilityState,
         bound: float,
         demands: Tuple[float, ...],
-        start_time_s: float,
         start_index: int,
     ) -> float:
-        """One candidate's forward run: served work minus violation penalty."""
+        """One candidate's forward run: served work minus violation penalty.
+
+        The horizon runs as one span-engine segment starting at the live
+        step index, so step ``start_index + j`` is timed ``(start_index +
+        j) * dt`` exactly as the live run times it.
+        """
         controller = self._datacenter.controller(FixedUpperBoundStrategy(bound))
         controller.strategy.reset()
         surrogate.restore(self._datacenter, controller)
         events_before = len(controller.safety.events)
         dt = self._dt_s
+        try:
+            controller.run_trace(
+                Trace(np.asarray(demands), dt_s=dt, name="rollout"),
+                start_index=start_index,
+            )
+        except ConfigurationError:
+            raise
+        except ReproError:
+            # The candidate's future fails outright — excluded, exactly
+            # as the Oracle search excludes failed candidates.
+            return -math.inf
         work = 0.0
-        for j, demand in enumerate(demands):
-            try:
-                step = controller.step(
-                    demand,
-                    time_s=start_time_s + j * dt,
-                    step_index=start_index + j,
-                )
-            except ConfigurationError:
-                raise
-            except ReproError:
-                # The candidate's future fails outright — excluded, exactly
-                # as the Oracle search excludes failed candidates.
-                return -math.inf
-            work += step.served * dt
+        for served in controller.history.column("served").tolist():
+            work += served * dt
         violations = len(controller.safety.events) - events_before
         return work - self._strategy.violation_penalty_s * float(violations)
-
-    def _vector_rollout_scores(
-        self,
-        surrogate: FacilityState,
-        demands: Tuple[float, ...],
-        start_time_s: float,
-    ) -> List[float]:
-        """Every candidate's forward run as one vector-kernel batch.
-
-        Element-wise bit-identical to :meth:`_rollout_score`: the
-        surrogate is restored once onto a throwaway fixed-bound
-        controller, the batch kernel seeds its per-element state from it,
-        and work accumulates as ``work + served * dt`` — the scalar
-        summation order per element.  The kernel's ``violations`` array
-        starts from zero at the seed, so it is already the delta the
-        scalar path takes against ``safety.events``.  A failed element
-        scores ``-inf``, the scalar ``ReproError`` exclusion;
-        ``ConfigurationError`` propagates from the kernel exactly as the
-        scalar path re-raises it.
-        """
-        controller = self._datacenter.controller(FixedUpperBoundStrategy(1.0))
-        controller.strategy.reset()
-        surrogate.restore(self._datacenter, controller)
-        kernel = VectorStepKernel(
-            self._datacenter.cluster,
-            self._datacenter.topology,
-            self._datacenter.cooling,
-            controller,
-            np.asarray(self._strategy.candidate_bounds, dtype=np.float64),
-        )
-        dt = self._dt_s
-        work = np.zeros(kernel.n, dtype=np.float64)
-        for j, demand in enumerate(demands):
-            served = kernel.step(float(demand), start_time_s + j * dt)
-            work = work + served * dt
-        penalty = self._strategy.violation_penalty_s
-        scored = work - penalty * kernel.violations.astype(np.float64)
-        return [
-            -math.inf if kernel.failed[i] else float(scored[i])
-            for i in range(kernel.n)
-        ]
 
 
 def build_forecast(strategy: MPCStrategy, trace: Trace) -> ForecastProvider:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.controller import SprintingController
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.workloads.ms_trace import default_ms_trace
@@ -49,3 +50,22 @@ def small_datacenter():
     dynamics are identical to the full-size facility, just cheaper.
     """
     return build_datacenter(DataCenterConfig(n_pdus=2, servers_per_pdu=50))
+
+
+@pytest.fixture()
+def controller_calls(monkeypatch):
+    """Counts ``SprintingController.step`` / ``run_trace`` calls from here on.
+
+    The path pins read it: a search, faulted run or MPC plan that falls
+    back to per-sample ``step`` calls shows up as a non-zero count.
+    """
+    calls = {"step": 0, "run_trace": 0}
+    for name in calls:
+        original = getattr(SprintingController, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SprintingController, name, spy)
+    return calls

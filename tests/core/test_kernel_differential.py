@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.controller import ControllerSettings, SprintingController
+from repro.core.steplog import StepLog
 from repro.core.strategies import FixedUpperBoundStrategy, GreedyStrategy
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
@@ -128,12 +129,20 @@ class TestKernelMatchesReference:
             steps[use_kernel] = controller.history.snapshot()
         assert steps[True] == steps[False]
 
-    def test_quiescent_fast_forward_engages_and_matches(self):
+    def test_quiescent_fast_forward_engages_and_matches(self, monkeypatch):
         """Flat demand is the fast-forward sweet spot: after the first
-        repeated quiescent sample the kernel replays a cached step.  The
-        replayed telemetry must still match the reference bit-for-bit,
-        and the cache must actually have engaged (otherwise this test
-        would silently stop covering the replay path)."""
+        repeated quiescent sample the span engine replays the idle fixed
+        point in bulk.  The replayed telemetry must still match per-sample
+        reference stepping bit-for-bit, and the replay must actually have
+        engaged (otherwise this test would silently stop covering it)."""
+        replayed = []
+        original = StepLog.extend_cycle
+
+        def spy(self, steps, repeats, times=None):
+            replayed.append(len(steps) * repeats)
+            original(self, steps, repeats, times)
+
+        monkeypatch.setattr(StepLog, "extend_cycle", spy)
         flat = Trace(np.full(600, 0.8), dt_s=1.0, name="flat")
         histories = {}
         for use_kernel in (True, False):
@@ -145,12 +154,14 @@ class TestKernelMatchesReference:
                 strategy=FixedUpperBoundStrategy(3.0),
                 use_kernel=use_kernel,
             )
-            for i, demand in enumerate(flat):
-                controller.step(demand, float(i))
             if use_kernel:
-                assert controller._ff_step is not None
+                controller.run_trace(flat)
+            else:
+                for i, demand in enumerate(flat):
+                    controller.step(demand, float(i))
             histories[use_kernel] = controller.history.snapshot()
         assert histories[True] == histories[False]
+        assert sum(replayed) > 500, "the idle fixed point was never replayed"
 
     def test_fast_forward_cache_invalidated_by_burst(self):
         """A burst breaks the fixed point; post-burst steps must still be

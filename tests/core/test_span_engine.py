@@ -10,8 +10,8 @@ and every accumulator matches the reference exactly.  It also pins:
 
 * an explicit k>1 steady cycle (PCM melt/refreeze oscillation) actually
   replaying through :meth:`~repro.core.steplog.StepLog.extend_cycle`;
-* the fault-plan fast-forward invalidation (the engine disarms the k=1
-  latch before applying due fault events);
+* the path of faulted runs under every fault kind: span-engine segments
+  split at the fault boundaries, never a per-sample ``controller.step``;
 * the vector kernel's per-element quiescent latch arming, replaying
   bit-identically, and disarming on demand changes and external writes.
 """
@@ -28,7 +28,7 @@ from repro.simulation.batch_facility import BatchFacility
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import run_simulation
-from repro.simulation.faults import FaultEvent, FaultPlan
+from repro.simulation.faults import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.workloads.traces import Trace
 
 from tests.core.test_kernel_differential import (
@@ -142,12 +142,12 @@ class TestSpanDifferential:
         assert_results_identical(fast, ref)
 
     def test_fault_mid_constant_span_disarm(self):
-        """Satellite: a due fault event must disarm the k=1 latch.
+        """Satellite: a due fault event must end the running segment.
 
-        A long flat trace arms the quiescent fast-forward; the fault at
-        t=200 lands mid-span, where a stale latch would replay pre-fault
-        state.  The engine clears it before applying due events, so the
-        faulted run stays bit-identical to the reference.
+        A long flat trace settles into a replayed idle fixed point; the
+        fault at t=200 lands mid-span, where a segment that ran on would
+        replay pre-fault state.  The engine cuts the segment at the fault
+        boundary, so the faulted run stays bit-identical to the reference.
         """
         trace = Trace(np.full(500, 0.6), dt_s=1.0, name="flat-faulted")
         plan = FaultPlan(
@@ -157,32 +157,106 @@ class TestSpanDifferential:
         fast, ref = run_both(trace, "greedy", fault_plan=plan)
         assert_results_identical(fast, ref)
 
-    def test_fault_application_clears_fast_forward(self, monkeypatch):
-        """The engine calls clear_fast_forward when events come due."""
-        from repro.core.controller import SprintingController
-
-        calls = []
-        original = SprintingController.clear_fast_forward
-
-        def spy(self):
-            calls.append(True)
-            original(self)
-
-        monkeypatch.setattr(
-            SprintingController, "clear_fast_forward", spy
-        )
+    def test_fault_boundaries_split_segments(self, controller_calls):
+        """A faulted run is one segment per fault boundary, plus one."""
         trace = Trace(np.full(300, 0.6), dt_s=1.0, name="flat")
         plan = FaultPlan(
-            events=(FaultEvent(kind="ups_failure", time_s=100.0),)
+            events=(
+                FaultEvent(kind="ups_failure", time_s=100.0),
+                FaultEvent(kind="chiller_outage", time_s=150.5,
+                           fraction=0.2, duration_s=60.0),
+            )
         )
-        run_simulation(
+        result = run_simulation(
             build_datacenter(SMALL),
             trace,
             GreedyStrategy(),
             fault_plan=plan,
             use_kernel=True,
         )
-        assert calls, "fault application never disarmed the fast-forward"
+        assert result.aborted_at_s is None
+        # Boundaries: the UPS loss at 100, the outage at 151 (the first
+        # sample at or after 150.5 s) and its expiry at 211.
+        assert controller_calls == {"step": 0, "run_trace": 4}
+
+
+class TestFaultedSegments:
+    """Faulted runs under every fault kind: bit-identical to the
+    per-sample reference, and run entirely as span-engine segments."""
+
+    #: One fault of each kind on span_trace(11), with the run_trace calls
+    #: the kernel run must make: one per fault boundary before the
+    #: degradation, plus one.  Expiring faults add their restore as a
+    #: boundary; a trace gap's end is not one (the held demand is fed into
+    #: the segment); a forced breaker trip degrades on its own boundary.
+    CASES = {
+        "breaker_trip": (
+            FaultEvent(kind="breaker_trip", time_s=250.0, fraction=0.5), 1
+        ),
+        "breaker_derate": (
+            FaultEvent(kind="breaker_derate", time_s=120.5, fraction=0.3,
+                       duration_s=200.0),
+            3,
+        ),
+        "ups_failure": (FaultEvent(kind="ups_failure", time_s=150.0), 2),
+        "chiller_outage": (
+            FaultEvent(kind="chiller_outage", time_s=180.0, fraction=0.5,
+                       duration_s=90.0),
+            3,
+        ),
+        "tes_valve_stuck": (
+            FaultEvent(kind="tes_valve_stuck", time_s=160.0,
+                       duration_s=100.0),
+            3,
+        ),
+        "trace_gap": (
+            FaultEvent(kind="trace_gap", time_s=140.0, duration_s=45.0), 2
+        ),
+    }
+
+    def test_cases_cover_every_fault_kind(self):
+        assert set(self.CASES) == set(FAULT_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_fault_kind_runs_as_segments(self, kind, controller_calls):
+        event, segments = self.CASES[kind]
+        plan = FaultPlan(events=(event,))
+        trace = span_trace(11)
+        fast = run_simulation(
+            build_datacenter(SMALL), trace, GreedyStrategy(),
+            fault_plan=plan, use_kernel=True,
+        )
+        assert controller_calls == {"step": 0, "run_trace": segments}
+        ref = run_simulation(
+            build_datacenter(SMALL), trace, GreedyStrategy(),
+            fault_plan=plan, use_kernel=False,
+        )
+        assert_results_identical(fast, ref)
+
+    def test_failure_inside_a_segment_degrades_on_that_sample(
+        self, controller_calls
+    ):
+        """A full chiller outage mid-burst on a tank-less facility ends in
+        a thermal emergency raised from inside a segment: the run
+        degrades on exactly the failing sample and the remaining samples
+        step degraded."""
+        config = SMALL.with_changes(has_tes=False)
+        plan = FaultPlan(
+            events=(FaultEvent(kind="chiller_outage", time_s=100.0),)
+        )
+        values = np.concatenate([np.full(100, 0.8), np.full(500, 2.5)])
+        trace = Trace(values, dt_s=1.0, name="outage-burst")
+        fast = run_simulation(
+            build_datacenter(config), trace, GreedyStrategy(),
+            fault_plan=plan, use_kernel=True,
+        )
+        assert controller_calls == {"step": 0, "run_trace": 2}
+        assert fast.aborted_at_s is not None and fast.aborted_at_s > 100.0
+        ref = run_simulation(
+            build_datacenter(config), trace, GreedyStrategy(),
+            fault_plan=plan, use_kernel=False,
+        )
+        assert_results_identical(fast, ref)
 
 
 class TestSteadyCycle:

@@ -404,101 +404,6 @@ class TestOracleEquivalence:
 
 
 class TestMPCRolloutVector:
-    def test_vector_and_scalar_rollouts_identical(self, monkeypatch):
-        """A full MPC run is bit-identical under either scoring path."""
-        import repro.simulation.rollout as rollout_mod
-
-        trace = random_trace(9)
-        strategy_kwargs = dict(
-            candidate_bounds=(2.0, 3.0, 4.0),
-            horizon_s=120.0,
-            replan_interval_s=60.0,
-        )
-
-        def run(use_vector):
-            original = rollout_mod.RolloutPlanner.__init__
-
-            def patched(self, *args, **kwargs):
-                kwargs["use_vector"] = use_vector
-                original(self, *args, **kwargs)
-
-            monkeypatch.setattr(
-                rollout_mod.RolloutPlanner, "__init__", patched
-            )
-            try:
-                return simulate_strategy(
-                    trace, MPCStrategy(**strategy_kwargs), SMALL
-                )
-            finally:
-                monkeypatch.setattr(
-                    rollout_mod.RolloutPlanner, "__init__", original
-                )
-
-        fast = run(True)
-        ref = run(False)
-        assert fast.average_performance == ref.average_performance
-        assert all(
-            a.served == b.served and a.degree == b.degree
-            for a, b in zip(fast.steps, ref.steps)
-        )
-
-    def test_planner_scores_match(self):
-        """Per-candidate scores agree exactly between the two paths."""
-        import repro.simulation.rollout as rollout_mod
-
-        trace = random_trace(12)
-        strategy = MPCStrategy(
-            candidate_bounds=(1.5, 2.5, 3.5),
-            horizon_s=90.0,
-            replan_interval_s=30.0,
-        )
-        datacenter = build_datacenter(SMALL)
-        result = run_simulation(datacenter, trace, strategy)
-        assert result is not None
-        # Re-run with the scalar path and compare the recorded scores.
-        scalar_scores = []
-        vector_scores = []
-
-        class Recorder:
-            def __init__(self, sink, use_vector):
-                self.sink = sink
-                self.use_vector = use_vector
-
-            def install(self, monkeyless_mod):
-                original_plan = rollout_mod.RolloutPlanner.plan
-                sink = self.sink
-                use_vector = self.use_vector
-
-                def plan(planner, obs):
-                    planner.use_vector = use_vector
-                    bound = original_plan(planner, obs)
-                    sink.append(planner.last_scores)
-                    return bound
-
-                rollout_mod.RolloutPlanner.plan = plan
-                return original_plan
-
-        for sink, use_vector in (
-            (vector_scores, True),
-            (scalar_scores, False),
-        ):
-            original = Recorder(sink, use_vector).install(rollout_mod)
-            try:
-                simulate_strategy(
-                    trace,
-                    MPCStrategy(
-                        candidate_bounds=(1.5, 2.5, 3.5),
-                        horizon_s=90.0,
-                        replan_interval_s=30.0,
-                    ),
-                    SMALL,
-                )
-            finally:
-                rollout_mod.RolloutPlanner.plan = original
-        assert len(vector_scores) == len(scalar_scores) > 0
-        for fast, ref in zip(vector_scores, scalar_scores):
-            assert fast == ref
-
     def test_scores_are_finite_floats(self):
         scores = []
         import repro.simulation.rollout as rollout_mod

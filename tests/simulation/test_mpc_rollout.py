@@ -38,7 +38,7 @@ from repro.core.strategies import (
 )
 from repro.errors import ConfigurationError
 from repro.simulation.config import DataCenterConfig
-from repro.simulation.datacenter import build_datacenter
+from repro.simulation.datacenter import DataCenter, build_datacenter
 from repro.simulation.engine import (
     DEFAULT_ORACLE_GRID,
     oracle_for_trace,
@@ -84,6 +84,21 @@ def assert_steps_identical(a, b) -> None:
                 ), field.name
             else:
                 assert va == vb, field.name
+
+
+class _IndexedBoundStrategy(SprintingStrategy):
+    """Replays a recorded bound schedule by the controller's step index."""
+
+    name = "indexed-script"
+
+    def __init__(self, bounds) -> None:
+        self.bounds = tuple(bounds)
+
+    def degree_upper_bound(self, obs: StrategyObservation) -> float:
+        return self.bounds[obs.step_index]
+
+    def reset(self) -> None:
+        pass
 
 
 class _ScriptedBoundStrategy(SprintingStrategy):
@@ -163,6 +178,25 @@ class TestNoPerturbation:
         assert mpc.fault_events == control.fault_events
         assert mpc.aborted_at_s == control.aborted_at_s
 
+    def test_mpc_run_equals_replay_at_non_integer_dt(self):
+        """The same differential at ``dt_s = 0.1``, where rollout steps
+        are timed ``i * dt`` from the live step index — the live run's
+        own clock — rather than ``time_s + j * dt``."""
+        dt = 0.1
+        values = np.concatenate(
+            [np.full(600, 0.8), np.full(3000, 3.2), np.full(1200, 0.8)]
+        )
+        trace = Trace(values, dt, "burst-dt01")
+        config = SMALL.with_changes(dt_s=dt)
+        strategy = _mpc(horizon_s=60.0, replan_interval_s=20.0)
+        mpc = simulate_strategy(trace, strategy, config)
+        assert len(strategy.plan_log) > 1
+        control = simulate_strategy(
+            trace, _IndexedBoundStrategy(s.upper_bound for s in mpc.steps),
+            config,
+        )
+        assert_steps_identical(mpc.steps, control.steps)
+
 
 class TestOracleEquivalence:
     """MPC with perfect forecast + covering horizon *is* the Oracle.
@@ -202,6 +236,26 @@ class TestOracleEquivalence:
         assert strategy.plan_log == ((300.0, oracle.upper_bound),)
         fixed = simulate_strategy(
             yahoo15, FixedUpperBoundStrategy(oracle.upper_bound), SMALL
+        )
+        assert np.array_equal(mpc.served, fixed.served)
+        assert mpc.average_performance == oracle.achieved_performance
+
+    def test_matches_oracle_at_non_integer_dt(self):
+        """The trivial single burst again at ``dt_s = 0.1``: rollouts time
+        their steps exactly as the Oracle's full runs do, so the committed
+        bound and the realized run still coincide."""
+        dt = 0.1
+        base = burst_trace()
+        trace = Trace(base.samples, dt, "burst-dt01")
+        config = SMALL.with_changes(dt_s=dt)
+        strategy = _mpc(
+            horizon_s=float(len(trace)) * dt, violation_penalty_s=0.0
+        )
+        mpc = simulate_strategy(trace, strategy, config)
+        oracle = oracle_for_trace(trace, config, candidates=CANDIDATES)
+        assert strategy.plan_log == ((60 * dt, oracle.upper_bound),)
+        fixed = simulate_strategy(
+            trace, FixedUpperBoundStrategy(oracle.upper_bound), config
         )
         assert np.array_equal(mpc.served, fixed.served)
         assert mpc.average_performance == oracle.achieved_performance
@@ -286,6 +340,78 @@ class TestPlanningBehaviour:
         result = simulate_strategy(yahoo15, strategy, SMALL)
         assert len(result.steps) == len(yahoo15)
         assert result.average_performance > 1.3
+
+
+class TestSegmentRollouts:
+    """Each candidate's rollout is one span-engine segment; per-sample
+    reference controllers (``use_kernel=False``) are the spec."""
+
+    @staticmethod
+    def _mpc_run(monkeypatch, use_kernel):
+        """An MPC run whose live controller and rollouts use ``use_kernel``,
+        plus the scores of every plan it made."""
+        scores = []
+        plan = RolloutPlanner.plan
+        controller = DataCenter.controller
+
+        def recording_plan(planner, obs):
+            bound = plan(planner, obs)
+            scores.append(planner.last_scores)
+            return bound
+
+        def forced_controller(self, strategy, *_args, **_kwargs):
+            return controller(self, strategy, use_kernel=use_kernel)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RolloutPlanner, "plan", recording_plan)
+            patch.setattr(DataCenter, "controller", forced_controller)
+            result = simulate_strategy(
+                burst_trace(level=3.2, burst_s=300, total_s=600),
+                _mpc(
+                    candidate_bounds=(2.0, 3.0, 4.0),
+                    horizon_s=120.0,
+                    replan_interval_s=60.0,
+                ),
+                SMALL,
+            )
+        return result, scores
+
+    def test_run_identical_to_reference_rollouts(self, monkeypatch):
+        """A full MPC run is bit-identical with segment rollouts and with
+        per-sample reference rollouts."""
+        fast, _ = self._mpc_run(monkeypatch, use_kernel=True)
+        ref, _ = self._mpc_run(monkeypatch, use_kernel=False)
+        assert_steps_identical(fast.steps, ref.steps)
+        assert fast.average_performance == ref.average_performance
+
+    def test_scores_match_reference_rollouts(self, monkeypatch):
+        """Per-candidate scores agree exactly, plan by plan."""
+        _, fast = self._mpc_run(monkeypatch, use_kernel=True)
+        _, ref = self._mpc_run(monkeypatch, use_kernel=False)
+        assert len(fast) == len(ref) > 1
+        assert fast == ref
+
+    def test_one_segment_per_candidate(self, yahoo15, controller_calls):
+        """One plan makes exactly one run_trace call per candidate bound
+        and no per-sample step."""
+        dc = build_datacenter(SMALL)
+        strategy = _mpc()
+        controller = dc.controller(strategy)
+        planner = bind_rollout_planner(strategy, dc, controller, yahoo15)
+        assert planner is not None
+        controller.run_trace(Trace(yahoo15.samples[:450], 1.0))
+        controller_calls.update(step=0, run_trace=0)
+        obs = StrategyObservation(
+            time_s=450.0,
+            demand=float(yahoo15.samples[450]),
+            in_burst=True,
+            time_in_burst_s=150.0,
+            budget_fraction_remaining=0.5,
+            max_degree=4.0,
+            step_index=450,
+        )
+        planner.plan(obs)
+        assert controller_calls == {"step": 0, "run_trace": len(CANDIDATES)}
 
 
 class TestForecastProviders:

@@ -9,6 +9,11 @@ bound and the achieved performance with ``==``, never ``approx``; any
 drift in the snapshot engine, the divergence-frontier computation or the
 tie-breaking shows up as a hard mismatch.
 
+The searches also pin their *path*: every search here must run as
+span-engine segments, so a per-sample ``controller.step`` call (the slow
+path a silent fallback would take) fails the test, and the paper's trace
+shapes must be served by the shared-prefix search rather than declined.
+
 This file is the differential suite CI runs in the benchmark-smoke job
 (under ``REPRO_SWEEP_WORKERS=2``) together with
 ``test_snapshot.py``'s round-trip checks.
@@ -26,11 +31,14 @@ from repro.errors import ReproError
 from repro.simulation.batch import SweepRunner
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.engine import (
+    DEFAULT_ORACLE_GRID,
     shared_prefix_oracle_search,
     simulate_strategy,
 )
-from repro.simulation.faults import FaultEvent, FaultPlan
+from repro.simulation.faults import FAULT_KINDS, FaultEvent, FaultPlan
+from repro.workloads.ms_trace import default_ms_trace
 from repro.workloads.traces import Trace
+from repro.workloads.yahoo_trace import generate_yahoo_trace
 
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=50)
 
@@ -73,10 +81,11 @@ def reference_search(trace, candidates, config, fault_plan=None):
 
 class TestNoFaultEquality:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_traces(self, seed):
+    def test_random_traces(self, seed, controller_calls):
         trace = random_trace(seed)
         fast = shared_prefix_oracle_search(trace, GRID, SMALL)
         assert fast is not None
+        assert controller_calls["step"] == 0
         assert fast == reference_search(trace, GRID, SMALL)
 
     @pytest.mark.parametrize("seed", (50, 51))
@@ -142,18 +151,49 @@ class TestFaultEquality:
         "derate-pre-burst": FaultPlan((
             FaultEvent.parse("derate@30s:fraction=0.3,duration=300"),
         )),
+        "tes-valve-mid-burst": FaultPlan((
+            FaultEvent.parse("tes@140s:fraction=0.7,duration=120"),
+        )),
     }
+
+    def test_plans_cover_every_fault_kind(self):
+        kinds = {e.kind for plan in self.PLANS.values() for e in plan}
+        assert kinds == set(FAULT_KINDS)
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
     @pytest.mark.parametrize("seed", (7, 19))
-    def test_fault_plans(self, seed, plan_name):
+    def test_fault_plans(self, seed, plan_name, controller_calls):
         trace = random_trace(seed)
         plan = self.PLANS[plan_name]
         fast = shared_prefix_oracle_search(
             trace, GRID, SMALL, fault_plan=plan
         )
         assert fast is not None
+        assert controller_calls["step"] == 0
         assert fast == reference_search(trace, GRID, SMALL, fault_plan=plan)
+
+
+class TestPaperTraceShapes:
+    """The trace shapes of the paper's evaluation must be *served* by the
+    shared-prefix search on the default facility and grid — a ``None``
+    here means every such search silently fell back to a slower tier."""
+
+    TRACES = {
+        "yahoo-jittered": lambda: generate_yahoo_trace(3.2, 10, seed=3),
+        "yahoo-held-60s": lambda: generate_yahoo_trace(
+            3.2, 10, seed=3
+        ).resampled(60.0).resampled(1.0),
+        "ms-default": default_ms_trace,
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_served_by_shared_prefix_segments(self, name, controller_calls):
+        trace = self.TRACES[name]()
+        config = DataCenterConfig()
+        fast = shared_prefix_oracle_search(trace, DEFAULT_ORACLE_GRID, config)
+        assert fast is not None
+        assert controller_calls["step"] == 0
+        assert fast == reference_search(trace, DEFAULT_ORACLE_GRID, config)
 
 
 class TestValidityEnvelope:
