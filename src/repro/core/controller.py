@@ -26,6 +26,7 @@ thermal threshold — the uncontrolled baseline in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -245,8 +246,19 @@ class SprintingController:
         failing index is ``start_index`` plus the rows the segment added
         to :attr:`history`.  The trace's sampling period is the caller's
         contract, exactly as for :meth:`step` (the engine validates it
-        against ``settings.dt_s``).
+        against ``settings.dt_s``).  ``start_index`` must be an integer
+        >= 0, checked before any step runs on either path.
         """
+        try:
+            start_index = operator.index(start_index)
+        except TypeError:
+            raise ConfigurationError(
+                f"start_index must be an integer, got {start_index!r}"
+            ) from None
+        if start_index < 0:
+            raise ConfigurationError(
+                f"start_index must be >= 0, got {start_index}"
+            )
         kernel = self._kernel
         if kernel is not None:
             kernel.run_trace(self, trace, start_index)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.controller import SprintingController
 from repro.core.strategies import GreedyStrategy, SprintingStrategy
 from repro.power.utility import UtilityEvent, UtilityFeed
 from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
@@ -55,20 +56,28 @@ def run_with_utility_events(
         events=list(events),
     )
 
+    # The emergency latch only changes where the feed's health does, so
+    # the run is one span-engine segment per stretch of constant health,
+    # with the latch toggled between segments.
+    dt = trace.dt_s
     emergency_active = False
-    for i, demand in enumerate(trace):
-        time_s = i * trace.dt_s
-        healthy = feed.is_healthy(time_s)
-        if not healthy and not emergency_active:
-            event = feed.event_at(time_s)
+    start = 0
+    for i in range(len(trace)):
+        time_s = i * dt
+        event = feed.event_at(time_s)
+        if (event is None) != emergency_active:
+            continue
+        _run_samples(controller, trace, start, i)
+        start = i
+        if event is not None:
             controller.safety.declare_emergency(
                 time_s, f"utility {event.kind.value}"
             )
             emergency_active = True
-        elif healthy and emergency_active:
+        else:
             controller.safety.clear_emergency()
             emergency_active = False
-        controller.step(demand, time_s)
+    _run_samples(controller, trace, start, len(trace))
 
     return SimulationResult(
         trace=trace,
@@ -80,6 +89,17 @@ def run_with_utility_events(
         served_integral=controller.admission.served_integral,
         demand_integral=controller.admission.demand_integral,
     )
+
+
+def _run_samples(
+    controller: SprintingController, trace: Trace, start: int, stop: int
+) -> None:
+    """Run samples ``[start, stop)`` of ``trace`` as one segment."""
+    if start < stop:
+        controller.run_trace(
+            Trace(trace.samples[start:stop], dt_s=trace.dt_s, name=trace.name),
+            start_index=start,
+        )
 
 
 def spike_during_sprint_scenario(

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.steplog import StepLog
 from repro.core.strategies import FixedUpperBoundStrategy, GreedyStrategy
+from repro.errors import ConfigurationError
 from repro.simulation.batch_facility import BatchFacility
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
@@ -178,6 +179,20 @@ class TestSpanDifferential:
         # Boundaries: the UPS loss at 100, the outage at 151 (the first
         # sample at or after 150.5 s) and its expiry at 211.
         assert controller_calls == {"step": 0, "run_trace": 4}
+
+    @pytest.mark.parametrize("use_kernel", (True, False))
+    @pytest.mark.parametrize("start_index", (-1, 2.0, "3"))
+    def test_bad_start_index_rejected_before_any_step(
+        self, use_kernel, start_index
+    ):
+        """Kernel and reference segments both reject a negative or
+        non-integer ``start_index`` up front, committing no step."""
+        controller = build_datacenter(SMALL).controller(
+            GreedyStrategy(), use_kernel=use_kernel
+        )
+        with pytest.raises(ConfigurationError, match="start_index"):
+            controller.run_trace(span_trace(1, n=20), start_index=start_index)
+        assert len(controller.history) == 0
 
 
 class TestFaultedSegments:
