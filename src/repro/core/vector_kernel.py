@@ -1,8 +1,9 @@
 """Vectorized many-facility batch kernel for the sprinting control loop.
 
 :class:`~repro.core.kernel.StepKernel` advances ONE facility per call; the
-Oracle grid search and the upper-bound sweep table evaluate MANY candidate
-upper bounds over the SAME trace, each candidate on its own facility copy.  :class:`VectorStepKernel` restates the
+Oracle grid search and the upper-bound sweep table evaluate MANY
+candidate upper bounds over the SAME trace, each candidate on its own
+facility copy.  :class:`VectorStepKernel` restates the
 kernel's hoisted affine/quadratic maps (trip-curve clamps, degree<->power
 maps, throughput quadratic, cooling split, UPS geometry) as numpy array
 operations over a batch axis: one :meth:`VectorStepKernel.step` call
