@@ -110,13 +110,14 @@ def bench_oracle_search_13_candidates(benchmark):
     """Cold 13-candidate Oracle search (the default grid) on a Yahoo trace.
 
     The shared-prefix search's headline case: one instrumented baseline
-    run plus per-candidate suffixes instead of 13 full runs.  Baseline,
-    suffixes and the winner's post-burst tail all run as span-engine
-    segments, so the search keeps the span engine's per-step speed and
-    wins on work alone; the guard is that it stays at least 1.5x ahead
-    of the per-candidate reference sweep (13 full span-engine runs).
-    The reference path is timed in the same process and the ratio
-    recorded in ``extra_info``.
+    run plus per-candidate suffixes instead of 13 full runs, and only the
+    suffixes whose optimistic bound can still beat the best run so far.
+    Baseline, suffixes and the winner's post-burst tail all run as
+    span-engine segments, so the search keeps the span engine's per-step
+    speed and wins on work alone; the guard is that it stays at least 2x
+    ahead of the per-candidate reference sweep (13 full span-engine
+    runs).  The reference path is timed in the same process and the
+    ratio recorded in ``extra_info``.
     """
     trace = generate_yahoo_trace(burst_degree=3.2, burst_duration_min=10)
     oracle = benchmark.pedantic(
@@ -132,15 +133,18 @@ def bench_oracle_search_13_candidates(benchmark):
           f"{reference_s:.2f}s reference "
           f"({reference_s / fast_s:.2f}x)")
     assert oracle.achieved_performance > 1.0
-    assert reference_s / fast_s >= 1.5
+    assert reference_s / fast_s >= 2.0
 
 
 def bench_upper_bound_table_cold(benchmark):
     """Cold 4x6 upper-bound table build (the Section V-A planning grid).
 
-    24 grid points x 13 candidates; the shared-prefix search turns each
-    point's 13 runs into ~1 + suffixes.  The reference cost is the summed
-    per-candidate timing over the same grid traces, measured in-process.
+    24 grid points x 13 candidates.  The grid lies inside the
+    shared-prefix envelope, so every point runs one pruned shared-prefix
+    search: one baseline plus the few suffixes that can still win,
+    instead of 13 runs (the packed vector batch is not used here).  The
+    reference cost is the summed per-candidate timing over the same grid
+    traces, measured in-process; the guard is at least 3x.
     """
     durations = (1.0, 5.0, 10.0, 15.0)
     degrees = (2.6, 2.8, 3.0, 3.2, 3.4, 3.6)
@@ -162,8 +166,8 @@ def bench_upper_bound_table_cold(benchmark):
     fast_s = benchmark.stats.stats.mean
     benchmark.extra_info["reference_seconds"] = reference_s
     benchmark.extra_info["speedup_vs_reference"] = reference_s / fast_s
-    print(f"4x6 table build: {fast_s:.1f}s fork-engine vs "
-          f"{reference_s:.1f}s reference "
+    print(f"4x6 table build: {fast_s:.2f}s pruned searches vs "
+          f"{reference_s:.2f}s reference "
           f"({reference_s / fast_s:.2f}x)")
     assert len(table) == len(durations) * len(degrees)
-    assert reference_s / fast_s >= 2.0
+    assert reference_s / fast_s >= 3.0

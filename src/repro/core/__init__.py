@@ -43,6 +43,7 @@ from repro.core.strategies import (
     SprintingStrategy,
     StrategyObservation,
     UpperBoundTable,
+    first_wins_argmax,
     oracle_search,
 )
 from repro.core.uncontrolled import UncontrolledSprinting, UncontrolledStep
@@ -82,6 +83,7 @@ __all__ = [
     "UpperBoundTable",
     "cb_deliverable_energy_j",
     "classify_phase",
+    "first_wins_argmax",
     "oracle_search",
     "tes_electric_equivalent_j",
 ]

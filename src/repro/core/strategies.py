@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.units import (
     require_non_negative,
     require_positive,
@@ -196,6 +196,24 @@ class OracleStrategy(FixedUpperBoundStrategy):
         self.achieved_performance = achieved_performance
 
 
+def first_wins_argmax(values: Sequence[float]) -> Optional[int]:
+    """Index of the first maximum of ``values``, skipping NaN.
+
+    The comparison is strict (``value > best``), so among equal values the
+    lowest index wins.  NaN marks a failed candidate and never wins;
+    ``None`` means every value is NaN (or there are none).  Every Oracle
+    reduction and the MPC rollout planner use this one helper, which is
+    what keeps their tie-breaks identical.
+    """
+    best: Optional[int] = None
+    for i, value in enumerate(values):
+        if value != value:  # NaN: this candidate failed
+            continue
+        if best is None or value > values[best]:
+            best = i
+    return best
+
+
 def oracle_search(
     evaluate: Callable[[float], float],
     candidates: Sequence[float],
@@ -206,34 +224,35 @@ def oracle_search(
     ----------
     evaluate:
         Maps a candidate upper bound to the average performance of a full
-        simulation run using that bound (higher is better).
+        simulation run using that bound (higher is better; NaN marks a
+        failed run).
     candidates:
         Candidate bounds, e.g. ``numpy.arange(1.0, 4.01, 0.25)``.
 
     Tie-breaking contract
     ---------------------
-    The argmax is strict (``perf > best_perf``): when several candidates
-    achieve exactly the same performance, the *earliest* candidate in
-    ``candidates`` wins — for the conventional ascending grids that is the
-    **lowest** winning bound, the least aggressive policy that attains the
-    optimum.  Every Oracle reduction in the code base
+    The argmax is strict (:func:`first_wins_argmax`): when several
+    candidates achieve exactly the same performance, the *earliest*
+    candidate in ``candidates`` wins — for the conventional ascending grids
+    that is the **lowest** winning bound, the least aggressive policy that
+    attains the optimum.  Every Oracle reduction in the code base
     (:meth:`~repro.simulation.batch.SweepRunner.oracle_search`, the
-    upper-bound-table builder, and the shared-prefix fast path) implements
-    this same first-wins rule, so results are independent of execution
-    order and worker count.
+    upper-bound-table builder, and the shared-prefix fast path) uses the
+    same helper, so results are independent of execution order and worker
+    count.  Raises :class:`~repro.errors.SimulationError` when every
+    evaluation is NaN.
     """
     if not candidates:
         raise ConfigurationError("candidates must be non-empty")
-    best_ub: Optional[float] = None
-    best_perf = -math.inf
     for ub in candidates:
         require_positive(ub, "candidate upper bound")
-        perf = evaluate(ub)
-        if perf > best_perf:
-            best_perf = perf
-            best_ub = ub
-    assert best_ub is not None
-    return OracleStrategy(best_ub, achieved_performance=best_perf)
+    performances = [evaluate(ub) for ub in candidates]
+    best = first_wins_argmax(performances)
+    if best is None:
+        raise SimulationError(
+            "oracle search failed: every candidate upper bound's run failed"
+        )
+    return OracleStrategy(candidates[best], achieved_performance=performances[best])
 
 
 @dataclass
@@ -582,7 +601,7 @@ class MPCStrategy(SprintingStrategy):
         ``BDu_p`` for the predicted-forecast mode (required there).
     violation_penalty_s:
         Served-seconds subtracted from a rollout's score per safety event
-        it provokes; rollouts that *fail* outright score ``-inf``.
+        it provokes; rollouts that *fail* outright score NaN.
     max_degree:
         Chip maximum degree.
     """

@@ -13,12 +13,11 @@ loops into declarative batches:
   :class:`~concurrent.futures.ProcessPoolExecutor`), or ``work-queue``
   (a multi-host file/directory queue drained by ``repro sweep-worker``
   processes) — after answering what it can from a shared
-  content-addressed :class:`~repro.simulation.store.ArtifactStore` and
-  executing compatible fixed-bound tasks on the vector-packed tier
-  (:func:`~repro.simulation.packing.vector_pack_tasks`), so repeated
-  Oracle searches and upper-bound-table builds are near-free across
-  benchmark runs and cold grids run integer factors faster than the
-  scalar engine.
+  content-addressed :class:`~repro.simulation.store.ArtifactStore`, so
+  repeated Oracle searches and upper-bound-table builds are near-free
+  across benchmark runs; wide groups of compatible fixed-bound tasks run
+  on the vector-packed tier
+  (:func:`~repro.simulation.packing.vector_pack_tasks`).
 
 Strategies are described by :class:`StrategySpec` rather than live
 objects: a spec is plain data (safe to hash and to ship to a worker
@@ -59,13 +58,14 @@ from repro.core.strategies import (
     PredictionStrategy,
     SprintingStrategy,
     UpperBoundTable,
+    first_wins_argmax,
 )
 from repro.errors import ConfigurationError, ReproError, SimulationError
-from repro.simulation.batch_facility import vector_oracle_search
 from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import (
     DEFAULT_ORACLE_GRID,
+    shared_prefix_envelope,
     shared_prefix_oracle_search,
     simulate_strategy,
 )
@@ -641,13 +641,13 @@ def _oracle_point_search(
     candidates: Sequence[float],
     config: DataCenterConfig,
 ) -> Optional[Tuple[float, float]]:
-    """One grid point's Oracle search: fast paths first, reference fallback.
+    """One grid point's Oracle search: fast path first, reference fallback.
 
-    Resolution order is shared-prefix -> vector batch -> per-candidate
-    reference: the shared-prefix path wins on quiescent traces with small
-    grids (it fast-forwards the prefix), the vector batch wins everywhere
-    the shared-prefix envelope rejects, and both are bit-identical to the
-    reference sweep.
+    The pruned shared-prefix search serves every search inside its
+    envelope (:func:`shared_prefix_envelope`); outside it each candidate
+    runs once on the span engine, bit-identically.  A one-point vector
+    batch is never formed here: a grid's candidates alone are far
+    narrower than :data:`~repro.simulation.packing.MIN_PACK_WIDTH` lanes.
 
     Returns ``(best_bound, best_performance)``, or ``None`` when every
     candidate's run failed (the caller owns the error message — the table
@@ -658,11 +658,6 @@ def _oracle_point_search(
     """
     try:
         fast = shared_prefix_oracle_search(trace, candidates, config)
-        if fast is None:
-            # Outside the shared-prefix envelope (sub-1.0 candidates, a
-            # coast-unsafe config) the vector batch kernel still replaces
-            # the per-candidate reference loop with one lockstep run.
-            fast = vector_oracle_search(trace, candidates, config)
     except SimulationError:
         return None
     if fast is not None:
@@ -674,15 +669,10 @@ def _oracle_point_search(
             for bound in candidates
         )
     ]
-    best_idx: Optional[int] = None
-    for i, perf in enumerate(performances):
-        if perf != perf:  # NaN: this candidate's run failed
-            continue
-        if best_idx is None or perf > performances[best_idx]:
-            best_idx = i
-    if best_idx is None:
+    best = first_wins_argmax(performances)
+    if best is None:
         return None
-    return float(candidates[best_idx]), performances[best_idx]
+    return float(candidates[best]), performances[best]
 
 
 # ---------------------------------------------------------------------------
@@ -945,19 +935,17 @@ class SweepRunner:
     ) -> OracleStrategy:
         """Exhaustive Oracle search (Section V-A), batched.
 
-        Ties break towards the earlier candidate — the strict
-        ``perf > best_perf`` argmax keeps the lowest winning bound, exactly
-        like the serial :func:`repro.core.strategies.oracle_search` — so
-        the result is independent of worker count and of the compute path.
+        Ties break towards the earlier candidate — the strict first-wins
+        argmax (:func:`~repro.core.strategies.first_wins_argmax`) keeps the
+        lowest winning bound, exactly like the serial
+        :func:`repro.core.strategies.oracle_search` — so the result is
+        independent of worker count and of the compute path.
 
-        The search runs on the shared-prefix fast path
+        The search runs on the pruned shared-prefix fast path
         (:func:`repro.simulation.engine.shared_prefix_oracle_search`) when
-        the trace/config is inside its validity envelope, then on the
-        vector batch kernel
-        (:func:`repro.simulation.batch_facility.vector_oracle_search`) for
-        no-fault searches outside it, falling back to the reference
-        per-candidate sweep otherwise; all paths produce bit-identical
-        results.  With a cache directory, the whole search
+        the trace/config is inside its validity envelope, and on the
+        reference per-candidate sweep otherwise; both produce
+        bit-identical results.  With a cache directory, the whole search
         caches as *one* entry (a warm search is one file read, one hit),
         rather than one entry per candidate.
         """
@@ -972,11 +960,6 @@ class SweepRunner:
         fast = shared_prefix_oracle_search(
             trace, candidates, config, fault_plan=fault_plan
         )
-        if fast is None and fault_plan is None:
-            # Vector batch tier: one lockstep run over the whole candidate
-            # grid (raises SimulationError when every candidate fails,
-            # exactly like the reference argmax below).
-            fast = vector_oracle_search(trace, candidates, config)
         if fast is not None:
             self.misses += 1
             self._search_cache_store(key, fast[0], fast[1])
@@ -984,19 +967,14 @@ class SweepRunner:
         performances = self.evaluate_upper_bounds(
             trace, candidates, config, fault_plan
         )
-        best_idx: Optional[int] = None
-        for i, perf in enumerate(performances):
-            if perf != perf:  # NaN: this candidate's run failed
-                continue
-            if best_idx is None or perf > performances[best_idx]:
-                best_idx = i
-        if best_idx is None:
+        best = first_wins_argmax(performances)
+        if best is None:
             raise SimulationError(
                 "oracle search failed: every candidate upper bound's run "
                 f"failed on trace {trace.name!r}"
             )
-        bound = float(candidates[best_idx])
-        performance = performances[best_idx]
+        bound = float(candidates[best])
+        performance = performances[best]
         self._search_cache_store(key, bound, performance)
         return OracleStrategy(bound, achieved_performance=performance)
 
@@ -1010,12 +988,13 @@ class SweepRunner:
     ) -> UpperBoundTable:
         """Pre-compute the Oracle upper-bound table (Section V-A), batched.
 
-        Each grid point runs as one shared-prefix Oracle search
-        (:func:`_oracle_point_search`); with multiple workers the points
-        fan out over the persistent pool, one search per point, and with a
-        cache directory each point caches as one search entry.  The
-        per-point strict argmax matches the serial search's tie-breaking,
-        so the table is independent of worker count and compute path.
+        Each uncached grid point runs as one Oracle search
+        (:meth:`_run_point_searches` picks the tier); with multiple
+        workers the points fan out over the persistent pool, one search
+        per point, and with a cache directory each point caches as one
+        search entry.  The per-point strict argmax matches the serial
+        search's tie-breaking, so the table is independent of worker
+        count and compute path.
         """
         self._ensure_open()
         if not candidates:
@@ -1077,14 +1056,24 @@ class SweepRunner:
         candidates: Tuple[float, ...],
         config: DataCenterConfig,
     ) -> List[Optional[Tuple[float, float]]]:
-        """Run the uncached grid-point searches, packed when possible.
+        """Run the uncached grid-point searches on the fastest valid tier.
 
-        The vector-packed tier fuses the whole table build (every point x
-        every candidate) into few kernel batches; when it declines (toggle
-        off, incompatible traces) the searches go to the scheduler
-        backend, which keeps the per-point strict argmax semantics.
+        Inside the shared-prefix envelope (:func:`shared_prefix_envelope`,
+        the predicate the search itself checks) every point runs one
+        pruned shared-prefix search through the scheduler backend; these
+        beat the packed batch on every measured grid.  Outside it the
+        vector-packed tier fuses the whole table build (every point x
+        every candidate) into few kernel batches, and when that declines
+        too (toggle off, incompatible traces, batches narrower than
+        :data:`~repro.simulation.packing.MIN_PACK_WIDTH`) the searches go
+        to the scheduler backend, which keeps the per-point strict argmax
+        semantics.
         """
-        if self.vector_pack and self._scheduler.packs_inline:
+        if (
+            self.vector_pack
+            and self._scheduler.packs_inline
+            and not shared_prefix_envelope(build_datacenter(config), candidates)
+        ):
             packed = packed_point_searches(point_traces, candidates, config)
             if packed is not None:
                 return packed

@@ -14,14 +14,19 @@ performances, the same strict first-wins tie-break, the same exclusion of
 failed candidates, and the same :class:`~repro.errors.SimulationError`
 when every candidate fails.
 
-:func:`vector_oracle_search` is the engine-facing entry point.  It sits in
-front of the shared-prefix fast path in the Oracle resolution order
-(vector -> shared-prefix -> per-candidate reference); its validity
-envelope is wider than the shared-prefix one (no coast-safety or
-candidate >= 1.0 requirements) because the batch advances every candidate
-with real physics — nothing is fast-forwarded.  The module-level toggle
+:func:`vector_oracle_search` runs one Oracle search as one batch.  Its
+validity envelope is wider than the shared-prefix search's (no
+coast-safety or candidate >= 1.0 requirements) because the batch advances
+every candidate with real physics — nothing is fast-forwarded.  The sweep
+runner no longer calls it: a single search's candidates make a batch far
+narrower than :data:`~repro.simulation.packing.MIN_PACK_WIDTH` lanes, and
+a batch that narrow is slower than one span-engine run per candidate, so
+Oracle searches resolve shared-prefix -> per-candidate reference.  The
+vector tier's remaining sweep traffic is
+:mod:`repro.simulation.packing`, which reads the module-level toggle
 (:func:`set_vector_oracle_enabled`, surfaced as ``repro sweep
---scalar-oracle``) forces the scalar paths for differential debugging.
+--scalar-oracle``) that forces the scalar paths for differential
+debugging.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.strategies import FixedUpperBoundStrategy
+from repro.core.strategies import FixedUpperBoundStrategy, first_wins_argmax
 from repro.core.vector_kernel import VectorStepKernel
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.config import DEFAULT_CONFIG, DataCenterConfig
@@ -202,23 +207,14 @@ class BatchFacility:
         if not candidates:
             raise ConfigurationError("candidates must be non-empty")
         result = self.run_fixed_bounds(trace, [float(c) for c in candidates])
-        best_idx: Optional[int] = None
-        for i in range(len(candidates)):
-            perf = float(result.performances[i])
-            if perf != perf:  # NaN: this candidate's run failed
-                continue
-            if best_idx is None or perf > float(
-                result.performances[best_idx]
-            ):
-                best_idx = i
-        if best_idx is None:
+        performances = [float(p) for p in result.performances]
+        best = first_wins_argmax(performances)
+        if best is None:
             raise SimulationError(
                 "oracle search failed: every candidate upper bound's run "
                 f"failed on trace {trace.name!r}"
             )
-        return float(candidates[best_idx]), float(
-            result.performances[best_idx]
-        )
+        return float(candidates[best]), performances[best]
 
 
 #: Per-process BatchFacility cache, mirroring the worker facility cache in

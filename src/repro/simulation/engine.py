@@ -19,6 +19,7 @@ from repro.core.strategies import (
     OracleStrategy,
     SprintingStrategy,
     UpperBoundTable,
+    first_wins_argmax,
 )
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
@@ -36,6 +37,7 @@ from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:
     from repro.core.controller import ControlStep, SprintingController
+    from repro.servers.cluster import ServerCluster
     from repro.simulation.batch import SweepRunner
 
 #: Default candidate grid for the Oracle's exhaustive search: 13 evenly
@@ -378,7 +380,11 @@ def build_upper_bound_table(
     For every (burst duration, burst degree) grid point a synthetic burst
     trace is generated (Yahoo-style by default, matching the paper's
     sweep), the Oracle search is run, and the optimal bound is recorded.
-    The Prediction strategy consumes the result at run time.
+    The Prediction strategy consumes the result at run time.  Inside the
+    shared-prefix envelope every point runs one pruned shared-prefix
+    search; outside it the grid runs as packed vector batches when
+    points x candidates fill :data:`~repro.simulation.packing.MIN_PACK_WIDTH`
+    lanes, and one span-engine run per candidate otherwise.
 
     Parameters
     ----------
@@ -386,10 +392,10 @@ def build_upper_bound_table(
         Optional override mapping ``(degree, duration_min)`` to a trace;
         defaults to :func:`repro.workloads.yahoo_trace.generate_yahoo_trace`.
     runner:
-        Optional :class:`~repro.simulation.batch.SweepRunner`; the full
-        ``durations x degrees x candidates`` product then runs as one
-        parallel, cached batch.  The default is a serial, cache-less
-        runner whose output is bit-identical to the historical loop.
+        Optional :class:`~repro.simulation.batch.SweepRunner` to fan the
+        point searches out over worker processes and cache each one.  The
+        default is a serial, cache-less runner whose output is
+        bit-identical to the historical loop.
     """
     runner = runner or _default_runner()
     return runner.build_upper_bound_table(
@@ -413,6 +419,19 @@ def build_upper_bound_table(
 # facility snapshot at each candidate's divergence frontier lets every
 # other candidate resume from its frontier and re-simulate only its
 # suffix — O(trace + Σ suffixes) instead of O(candidates × trace).
+#
+# Most suffixes need not run at all.  A bound caps the capacity a run can
+# reach, so :func:`optimistic_performance` bounds its performance from
+# above; suffixes are resumed in descending order of effective bound and
+# the descent stops at the first one whose bound cannot beat the best
+# performance found so far.
+
+#: Relative slack on the optimistic bound before a candidate is pruned.
+#: The bound and a measured performance run the same reduction over
+#: elementwise-ordered served series, so they are ordered exactly; the
+#: margin only absorbs last-ulp differences between the capacity the
+#: bound takes and the one the step body computes.
+_PRUNE_MARGIN = 1.0 + 1e-9
 
 
 def _coast_safe(datacenter: DataCenter) -> bool:
@@ -441,6 +460,44 @@ def _coast_safe(datacenter: DataCenter) -> bool:
     if it_peak + cooling_w > topology.dc_breaker.rated_power_w:
         return False
     return True
+
+
+def shared_prefix_envelope(
+    datacenter: DataCenter, candidates: Sequence[float]
+) -> bool:
+    """Whether the shared-prefix search is valid for ``candidates`` here.
+
+    Inside the envelope every candidate is at least the normal degree (a
+    lower bound binds outside bursts too, so the quiescent prefix is no
+    longer shared), the controller uses the default burst detector (the
+    burst-window mask assumes it) and the facility is coast-safe.  The
+    search and the sweep runner's table routing both decide with this
+    one predicate; the trace's sampling period is checked per search.
+    """
+    if not candidates or any(float(c) < 1.0 for c in candidates):
+        return False
+    probe = datacenter.controller(FixedUpperBoundStrategy(float(candidates[0])))
+    if probe.detector.capacity != 1.0:
+        return False
+    return _coast_safe(datacenter)
+
+
+def optimistic_performance(
+    cluster: "ServerCluster", trace: Trace, bound: float
+) -> float:
+    """Upper bound on the performance of any run capped at ``bound``.
+
+    A run's realised degree never exceeds its effective bound, so on
+    every sample it serves at most ``min(demand, capacity(bound))``.  The
+    value is :func:`average_performance_improvement` of that series, the
+    same reduction the measured performance takes, so a measured
+    performance can be compared with it directly.
+    """
+    effective = min(float(bound), cluster.throughput.max_degree)
+    capacity = cluster.capacity_at_degree(effective)
+    return average_performance_improvement(
+        np.minimum(trace.samples, capacity), trace
+    )
 
 
 def _divergence_step(
@@ -483,20 +540,13 @@ def shared_prefix_oracle_search(
     budgets) is re-simulated with real physics before the result is
     accepted, and demoted to failed if the tail raises.  Raises
     :class:`~repro.errors.SimulationError` when every candidate fails.
+    Without a fault plan, candidates whose :func:`optimistic_performance`
+    cannot beat the best run found so far are never simulated.
     """
-    if not candidates:
-        return None
     if abs(trace.dt_s - config.dt_s) > 1e-9:
         return None  # reference path raises the descriptive ConfigurationError
-    if any(float(c) < 1.0 for c in candidates):
-        # A bound below the normal degree binds outside bursts too, so the
-        # quiescent prefix is no longer shared across candidates.
-        return None
     datacenter = build_datacenter(config)
-    probe = datacenter.controller(FixedUpperBoundStrategy(float(candidates[0])))
-    if probe.detector.capacity != 1.0:
-        return None  # burst-window mask below assumes the default detector
-    if not _coast_safe(datacenter):
+    if not shared_prefix_envelope(datacenter, candidates):
         return None
     if fault_plan is None:
         return _shared_prefix_no_faults(datacenter, trace, candidates)
@@ -611,55 +661,67 @@ def _shared_prefix_no_faults(
         base_end = FacilityState.capture(datacenter, controller)
         base_perf = average_performance_improvement(base_served, trace)
 
-    # Per-candidate suffixes from the divergence frontiers.
+    # Candidates sharing the baseline's entire run take its result (its
+    # failure included); a frontier past the baseline's failing step means
+    # an identical prefix through that step, so that candidate fails too.
+    # Everyone else resumes a suffix, highest effective bound first.
     performances = [math.nan] * len(candidates)
     end_states: List[Optional[FacilityState]] = [None] * len(candidates)
-    for idx, bound in enumerate(candidates):
-        frontier = frontier_of[idx]
+    descent: List[int] = []
+    for idx, frontier in enumerate(frontier_of):
         if frontier is None:
-            # Shares the baseline's entire run (including its failure).
             performances[idx] = base_perf
             end_states[idx] = base_end
-            continue
-        if base_failed_at is not None and frontier > base_failed_at:
-            # Identical prefix through the failing step: fails identically.
-            continue
-        controller = _resumed_run(datacenter, float(bound), snapshots[frontier])
-        if _run_segment(controller, trace, frontier, last + 1) is not None:
-            continue
-        served = np.zeros(n)
-        served[first:frontier] = base_served[first:frontier]
-        served[frontier : last + 1] = controller.history.column("served")
-        performances[idx] = average_performance_improvement(served, trace)
-        end_states[idx] = FacilityState.capture(datacenter, controller)
+        elif base_failed_at is None or frontier <= base_failed_at:
+            descent.append(idx)
+    descent.sort(key=lambda idx: -eff[idx])
 
-    # Verified-winner loop: the truncation at the last burst sample hides
-    # post-burst failures (battery recharge against live breaker budgets),
-    # so the provisional winner's tail is re-run with real physics and the
-    # candidate demoted to failed if it raises — exactly the reference
-    # path's NaN for that candidate.
+    # Pruned descent plus verified-winner loop.  The descent stops at the
+    # first candidate whose optimistic performance cannot beat the best
+    # found so far; optimistic performance falls with the effective bound,
+    # so every later candidate is pruned too.  The truncation at the last
+    # burst sample hides post-burst failures (battery recharge against
+    # live breaker budgets), so the provisional winner's tail is re-run
+    # with real physics and the candidate demoted to failed if it raises —
+    # exactly the reference path's NaN for that candidate — after which
+    # the descent resumes where it stopped against the lower best.
+    pos = 0
     while True:
-        best_idx: Optional[int] = None
-        for idx, perf in enumerate(performances):
-            if perf != perf:  # NaN: candidate failed
+        best = first_wins_argmax(performances)
+        while pos < len(descent):
+            idx = descent[pos]
+            if best is not None and (
+                optimistic_performance(cluster, trace, eff[idx]) * _PRUNE_MARGIN
+                < performances[best]
+            ):
+                break
+            pos += 1
+            frontier = frontier_of[idx]
+            assert frontier is not None  # shared runs never enter the descent
+            controller = _resumed_run(
+                datacenter, float(candidates[idx]), snapshots[frontier]
+            )
+            if _run_segment(controller, trace, frontier, last + 1) is not None:
                 continue
-            if best_idx is None or perf > performances[best_idx]:
-                best_idx = idx
-        if best_idx is None:
+            served = np.zeros(n)
+            served[first:frontier] = base_served[first:frontier]
+            served[frontier : last + 1] = controller.history.column("served")
+            performances[idx] = average_performance_improvement(served, trace)
+            end_states[idx] = FacilityState.capture(datacenter, controller)
+            best = first_wins_argmax(performances)
+        if best is None:
             raise SimulationError(
                 "oracle search failed: every candidate upper bound's run "
                 f"failed on trace {trace.name!r}"
             )
         if last + 1 < n:
-            state = end_states[best_idx]
+            state = end_states[best]
             assert state is not None  # finite performance implies a captured end
-            controller = _resumed_run(
-                datacenter, float(candidates[best_idx]), state
-            )
+            controller = _resumed_run(datacenter, float(candidates[best]), state)
             if _run_segment(controller, trace, last + 1, n) is not None:
-                performances[best_idx] = math.nan
+                performances[best] = math.nan
                 continue
-        return float(candidates[best_idx]), performances[best_idx]
+        return float(candidates[best]), performances[best]
 
 
 def _shared_prefix_with_faults(
@@ -738,8 +800,6 @@ def _shared_prefix_with_faults(
         served[frontier : last + 1] = controller.history.column("served")
         performances[idx] = average_performance_improvement(served, trace)
 
-    best_idx = 0
-    for idx, perf in enumerate(performances):
-        if perf > performances[best_idx]:
-            best_idx = idx
-    return float(candidates[best_idx]), performances[best_idx]
+    best = first_wins_argmax(performances)
+    assert best is not None  # degraded runs complete, so none is NaN
+    return float(candidates[best]), performances[best]

@@ -2,9 +2,12 @@
 
 The sweep grids behind the paper's headline figures are dominated by
 *fixed-upper-bound, fault-free* runs — exactly the shape
-:class:`~repro.core.vector_kernel.VectorStepKernel` advances at ~25x
-scalar per-facility throughput.  This module packs such tasks into wide
-kernel batches:
+:class:`~repro.core.vector_kernel.VectorStepKernel` advances in lockstep.
+The kernel's per-step cost is numpy call overhead, nearly independent of
+the batch width, so a batch only beats one span-engine run per task once
+it is wide: at :data:`MIN_PACK_WIDTH` lanes and up (see
+``docs/PERFORMANCE.md``).  This module packs such tasks into wide kernel
+batches:
 
 * :func:`vector_pack_tasks` fuses compatible :class:`SweepTask`\\ s
   (same config, same trace length and sampling period; fixed or greedy
@@ -16,7 +19,9 @@ kernel batches:
   kernel does not model).
 * :func:`packed_point_searches` fuses a whole upper-bound-table build —
   every grid point x every candidate — into one batch per trace-length
-  group, instead of one kernel run per grid point.
+  group, instead of one kernel run per grid point.  The sweep runner
+  calls it only outside the shared-prefix search's envelope; inside it
+  the pruned per-point searches are faster.
 
 Bit-exactness is inherited, not re-proven: the kernel's contract makes
 element ``j`` bit-identical to a scalar ``FixedUpperBoundStrategy``
@@ -47,6 +52,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.strategies import first_wins_argmax
 from repro.simulation.batch_facility import (
     _batch_facility_for,
     vector_oracle_enabled,
@@ -59,9 +65,11 @@ if TYPE_CHECKING:
     from repro.core.vector_kernel import VectorStepKernel
     from repro.simulation.batch import SweepTask, TaskResult
 
-#: Minimum batch width worth a kernel construction; a lone task runs
-#: scalar (the kernel's hoisting cost only amortises across elements).
-MIN_PACK_WIDTH = 2
+#: Narrowest vector batch the sweep code forms: the measured width at
+#: which L packed fixed-bound tasks first keep pace with L span-engine
+#: runs (the lane-width crossover in ``docs/PERFORMANCE.md``).  Narrower
+#: groups stay on the scalar engine.
+MIN_PACK_WIDTH = 64
 
 #: The only telemetry columns the outcome reduction reads; recording all
 #: eighteen would triple the packed step cost for nothing.
@@ -254,13 +262,12 @@ def packed_point_searches(
     Returns ``None`` — "not handled, use the per-point path" — when the
     vector toggle is off, a trace falls outside the kernel envelope
     (``dt`` mismatch raises the descriptive error on the reference path),
-    a candidate is non-positive, or there are fewer than two points (a
-    lone point gains nothing over :func:`vector_oracle_search` and may
-    hit the shared-prefix fast path instead).
+    a candidate is non-positive, or a trace-length group would batch
+    fewer than :data:`MIN_PACK_WIDTH` lanes (points x candidates).
     """
     if not vector_oracle_enabled():
         return None
-    if len(point_traces) < 2 or not candidates:
+    if not candidates:
         return None
     if not all(c > 0.0 for c in candidates):
         return None
@@ -273,6 +280,8 @@ def packed_point_searches(
     groups: Dict[Tuple[str, int], List[int]] = {}
     for p, trace in enumerate(point_traces):
         groups.setdefault((repr(trace.dt_s), len(trace)), []).append(p)
+    if any(len(points) * n_cand < MIN_PACK_WIDTH for points in groups.values()):
+        return None
 
     facility = _batch_facility_for(config)
     results: List[Optional[Tuple[float, float]]] = [None] * len(point_traces)
@@ -291,17 +300,13 @@ def packed_point_searches(
         for slot, p in enumerate(point_indices):
             lo = slot * n_cand
             trace = point_traces[p]
-            best_idx: Optional[int] = None
-            best_perf = math.nan
-            for c in range(n_cand):
-                if bool(kernel.failed[lo + c]):
-                    continue
-                perf = average_performance_improvement(
-                    served[:, lo + c], trace
-                )
-                if best_idx is None or perf > best_perf:
-                    best_idx = c
-                    best_perf = perf
-            if best_idx is not None:
-                results[p] = (float(candidates[best_idx]), best_perf)
+            performances = [
+                math.nan
+                if bool(kernel.failed[lo + c])
+                else average_performance_improvement(served[:, lo + c], trace)
+                for c in range(n_cand)
+            ]
+            best = first_wins_argmax(performances)
+            if best is not None:
+                results[p] = (float(candidates[best]), performances[best])
     return results

@@ -15,9 +15,10 @@ Scoring follows the tentpole contract: the served-demand integral over the
 horizon (computational work), minus ``violation_penalty_s`` served-seconds
 per safety-envelope event the rollout provokes.  A rollout that *fails*
 outright — a recoverable substrate error escaping a fault-free candidate
-run — scores ``-inf``, exactly mirroring the Oracle search's exclusion of
+run — scores NaN, exactly mirroring the Oracle search's exclusion of
 failed candidates.  The argmax is strict first-wins over the candidate
-order, the pinned Oracle tie-break, so with a perfect forecast and a
+order (:func:`~repro.core.strategies.first_wins_argmax`, the pinned Oracle
+tie-break), so with a perfect forecast and a
 horizon covering the remaining trace the committed bound coincides with
 :class:`~repro.core.strategies.OracleStrategy` on single-burst traces
 (``tests/simulation/test_mpc_rollout.py`` pins this equivalence and the
@@ -47,6 +48,7 @@ from repro.core.strategies import (
     MPCStrategy,
     SprintingStrategy,
     StrategyObservation,
+    first_wins_argmax,
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.simulation.snapshot import FacilityState
@@ -188,7 +190,9 @@ class RolloutPlanner:
         #: Number of planning invocations this run (telemetry).
         self.plans = 0
         #: ``(bound, score)`` pairs from the most recent plan, in
-        #: candidate order (``-inf`` marks a failed rollout).
+        #: candidate order.  A failed rollout scores NaN, so pick the
+        #: committed bound with :func:`first_wins_argmax`, not ``max``
+        #: (whose result over NaN depends on element order).
         self.last_scores: Tuple[Tuple[float, float], ...] = ()
 
     def plan(self, obs: StrategyObservation) -> float:
@@ -214,26 +218,20 @@ class RolloutPlanner:
             return FALLBACK_BOUND
         live = FacilityState.capture(self._datacenter, self._controller)
         surrogate = dataclasses.replace(live, strategy_state=None)
-        best_bound: Optional[float] = None
-        best_score = -math.inf
-        scores: List[Tuple[float, float]] = []
+        bounds = self._strategy.candidate_bounds
         try:
-            for bound in self._strategy.candidate_bounds:
-                score = self._rollout_score(
-                    surrogate, bound, demands, obs.step_index
-                )
-                scores.append((bound, score))
-                # Strict first-wins argmax: the pinned Oracle tie-break.
-                if score > best_score:
-                    best_score = score
-                    best_bound = bound
+            scores = [
+                self._rollout_score(surrogate, bound, demands, obs.step_index)
+                for bound in bounds
+            ]
         finally:
             live.restore(self._datacenter, self._controller)
         self.plans += 1
-        self.last_scores = tuple(scores)
-        if best_bound is None:
+        self.last_scores = tuple(zip(bounds, scores))
+        best = first_wins_argmax(scores)
+        if best is None:
             return FALLBACK_BOUND
-        return best_bound
+        return bounds[best]
 
     def _rollout_score(
         self,
@@ -263,7 +261,7 @@ class RolloutPlanner:
         except ReproError:
             # The candidate's future fails outright — excluded, exactly
             # as the Oracle search excludes failed candidates.
-            return -math.inf
+            return math.nan
         work = 0.0
         for served in controller.history.column("served").tolist():
             work += served * dt

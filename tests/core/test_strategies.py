@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.core.strategies import (
     FixedUpperBoundStrategy,
     GreedyStrategy,
@@ -15,6 +15,7 @@ from repro.core.strategies import (
     PredictionStrategy,
     StrategyObservation,
     UpperBoundTable,
+    first_wins_argmax,
     oracle_search,
 )
 
@@ -95,6 +96,31 @@ class TestFixedAndOracle:
         descending = oracle_search(plateau.__getitem__, [4.0, 3.0, 2.0])
         assert ascending.upper_bound == 2.0
         assert descending.upper_bound == 3.0
+
+    def test_oracle_search_skips_failed_candidates(self):
+        perf = {2.0: math.nan, 3.0: 1.5, 4.0: 1.2}
+        oracle = oracle_search(perf.__getitem__, [2.0, 3.0, 4.0])
+        assert oracle.upper_bound == 3.0
+
+    def test_oracle_search_raises_when_every_candidate_fails(self):
+        with pytest.raises(SimulationError):
+            oracle_search(lambda ub: math.nan, [2.0, 3.0])
+
+
+class TestFirstWinsArgmax:
+    def test_first_maximum_wins_ties(self):
+        assert first_wins_argmax([1.0, 3.0, 2.0, 3.0]) == 1
+
+    def test_nan_never_wins(self):
+        assert first_wins_argmax([math.nan, 1.0, math.nan, 2.0]) == 3
+        assert first_wins_argmax([2.0, math.nan, 2.0]) == 0
+
+    def test_negative_infinity_still_counts(self):
+        assert first_wins_argmax([math.nan, -math.inf, math.nan]) == 1
+
+    def test_no_candidate_left(self):
+        assert first_wins_argmax([math.nan, math.nan]) is None
+        assert first_wins_argmax([]) is None
 
 
 class TestUpperBoundTable:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.vector_kernel import VectorStepKernel
 from repro.errors import BreakerTrippedError, ConfigurationError
+from repro.simulation import packing
 from repro.simulation.batch import (
     RunFailure,
     StrategySpec,
@@ -31,6 +33,11 @@ CANDIDATES = (2.0, 2.5, 3.0, 3.5)
 #: three run with packing off so each backend's own execution path is the
 #: thing under test.
 BACKENDS = ("in-process", "process-pool", "work-queue", "vector-packed")
+
+#: A sub-1.0 candidate takes a table build outside the shared-prefix
+#: envelope, where the ``vector-packed`` leg packs the whole table into one
+#: batch; inside it every backend runs one search per point.
+PACKED_TABLE_CANDIDATES = (0.9,) + CANDIDATES
 
 
 def burst_trace(seed: int = 0, n: int = 90) -> Trace:
@@ -66,6 +73,26 @@ def make_runner(backend: str, tmp_path, cache_dir=None) -> SweepRunner:
     )
 
 
+@pytest.fixture()
+def vector_steps(monkeypatch):
+    """Pin the lane floor to 2 and record each vector kernel step's width.
+
+    This suite's batches are 4-20 lanes wide, below the real
+    ``packing.MIN_PACK_WIDTH``; the pin keeps the ``vector-packed`` leg on
+    the packed path, and the recorded steps show that it ran there.
+    """
+    monkeypatch.setattr(packing, "MIN_PACK_WIDTH", 2)
+    steps = []
+    step = VectorStepKernel.step
+
+    def recording_step(self, *args, **kwargs):
+        steps.append(self.n)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorStepKernel, "step", recording_step)
+    return steps
+
+
 def mixed_tasks() -> list:
     """Packable (fixed, greedy) and unpackable (MPC) tasks, mixed."""
     trace = burst_trace()
@@ -88,43 +115,64 @@ def reference_results():
     return runner.run_tasks(mixed_tasks())
 
 
-@pytest.fixture(scope="module")
-def reference_table():
-    runner = SweepRunner(max_workers=1, vector_pack=False)
+def build_table(runner: SweepRunner, candidates):
     return runner.build_upper_bound_table(
         config=SMALL,
         burst_durations_min=(2.0, 4.0),
         burst_degrees=(2.8, 3.2),
-        candidates=CANDIDATES,
+        candidates=candidates,
     )
+
+
+@pytest.fixture(scope="module")
+def reference_table():
+    runner = SweepRunner(max_workers=1, vector_pack=False)
+    return build_table(runner, CANDIDATES)
+
+
+@pytest.fixture(scope="module")
+def reference_packed_table():
+    runner = SweepRunner(max_workers=1, vector_pack=False)
+    return build_table(runner, PACKED_TABLE_CANDIDATES)
 
 
 class TestBackendIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mixed_batch_matches_reference(
-        self, backend, tmp_path, reference_results
+        self, backend, tmp_path, reference_results, vector_steps
     ):
         runner = make_runner(backend, tmp_path)
         try:
             assert runner.run_tasks(mixed_tasks()) == reference_results
         finally:
             runner.close()
+        assert bool(vector_steps) == (backend == "vector-packed")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_upper_bound_table_matches_reference(
-        self, backend, tmp_path, reference_table
+        self, backend, tmp_path, reference_table, vector_steps
     ):
         runner = make_runner(backend, tmp_path)
         try:
-            table = runner.build_upper_bound_table(
-                config=SMALL,
-                burst_durations_min=(2.0, 4.0),
-                burst_degrees=(2.8, 3.2),
-                candidates=CANDIDATES,
-            )
+            table = build_table(runner, CANDIDATES)
         finally:
             runner.close()
         assert table.entries() == reference_table.entries()
+        assert vector_steps == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_packed_table_matches_reference(
+        self, backend, tmp_path, reference_packed_table, vector_steps
+    ):
+        runner = make_runner(backend, tmp_path)
+        try:
+            table = build_table(runner, PACKED_TABLE_CANDIDATES)
+        finally:
+            runner.close()
+        assert table.entries() == reference_packed_table.entries()
+        # One batch: 4 points x 5 candidates, stepped together.
+        packed = {20} if backend == "vector-packed" else set()
+        assert set(vector_steps) == packed
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cached_failure_replays_without_execution(
@@ -163,7 +211,7 @@ class TestBackendIdentity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stores_share_one_format(
-        self, backend, tmp_path, reference_results
+        self, backend, tmp_path, reference_results, vector_steps
     ):
         """A cache written by any backend replays on the reference path."""
         cache_dir = tmp_path / "shared-cache"
@@ -173,6 +221,7 @@ class TestBackendIdentity:
         finally:
             writer.close()
         assert first == reference_results
+        assert bool(vector_steps) == (backend == "vector-packed")
         reader = SweepRunner(
             max_workers=1, cache_dir=cache_dir, vector_pack=False
         )

@@ -582,16 +582,12 @@ class TestFailureAwareSearch:
             return real(task)
 
         monkeypatch.setattr("repro.simulation.batch.execute_task", selective)
-        # The shared-prefix and vector batch fast paths simulate in-process
+        # The shared-prefix and packed fast paths simulate in-process
         # (they never go through execute_task), so force the reference
         # per-candidate fallback — the path whose failure-aware reduction
         # is under test.
         monkeypatch.setattr(
             "repro.simulation.batch.shared_prefix_oracle_search",
-            lambda *args, **kwargs: None,
-        )
-        monkeypatch.setattr(
-            "repro.simulation.batch.vector_oracle_search",
             lambda *args, **kwargs: None,
         )
         monkeypatch.setattr(

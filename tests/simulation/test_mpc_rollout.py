@@ -35,6 +35,7 @@ from repro.core.strategies import (
     MPCStrategy,
     SprintingStrategy,
     StrategyObservation,
+    first_wins_argmax,
 )
 from repro.errors import ConfigurationError
 from repro.simulation.config import DataCenterConfig
@@ -203,7 +204,7 @@ class TestOracleEquivalence:
 
     ``violation_penalty_s=0`` in both tests: the Oracle search scores pure
     performance (failed candidates excluded), which the rollout mirrors
-    with its ``-inf`` exclusion; a nonzero event penalty is an MPC-only
+    with its NaN exclusion; a nonzero event penalty is an MPC-only
     refinement the Oracle has no counterpart for.
     """
 
@@ -329,8 +330,11 @@ class TestPlanningBehaviour:
         scores = [s for _, s in planner.last_scores]
         assert bounds == list(CANDIDATES)
         committed = strategy.plan_log[-1][1]
-        # Strict first-wins: the committed bound is the *first* maximum.
-        assert committed == bounds[scores.index(max(scores))]
+        # Strict first-wins: the committed bound is the *first* maximum,
+        # failed (NaN) rollouts excluded.
+        best = first_wins_argmax(scores)
+        assert best is not None
+        assert committed == bounds[best]
 
     def test_predicted_forecast_mode_completes(self, yahoo15):
         strategy = _mpc(

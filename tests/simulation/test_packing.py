@@ -6,6 +6,11 @@ float bit-identical, every tie broken the same way.  The differential
 tests here randomize grids of traces and bounds and compare
 ``vector_pack_tasks`` / ``packed_point_searches`` output against the
 scalar reference with plain ``==`` (no tolerances anywhere).
+
+Those grids are a few lanes wide, far below the production lane floor
+(``packing.MIN_PACK_WIDTH``), so the differential classes pin the floor
+to 2 (the ``narrow_packing`` fixture) to keep exercising the packed path;
+``TestLaneFloor`` checks the real floor.
 """
 
 from __future__ import annotations
@@ -47,6 +52,12 @@ def bursty_trace(seed: int, n: int = 90) -> Trace:
     return Trace(samples, name=f"pack-{seed}")
 
 
+@pytest.fixture()
+def narrow_packing(monkeypatch):
+    """Let the few-lane differential grids below form vector batches."""
+    monkeypatch.setattr(packing, "MIN_PACK_WIDTH", 2)
+
+
 def scalar_reference(tasks):
     """The scalar engine's results, with every vector fast path off."""
     previous = set_vector_oracle_enabled(False)
@@ -81,6 +92,7 @@ class TestPackability:
         )
 
 
+@pytest.mark.usefixtures("narrow_packing")
 class TestRandomizedDifferential:
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_packed_grid_bit_identical_to_scalar(self, seed):
@@ -145,6 +157,7 @@ class TestRandomizedDifferential:
             set_vector_oracle_enabled(previous)
 
 
+@pytest.mark.usefixtures("narrow_packing")
 class TestPackedPointSearches:
     CANDIDATES = (2.0, 2.5, 3.0, 3.0, 3.5)  # duplicate: tie-break bait
 
@@ -195,6 +208,33 @@ class TestPackedPointSearches:
             set_vector_oracle_enabled(previous)
 
 
+class TestLaneFloor:
+    """No vector batch narrower than ``MIN_PACK_WIDTH`` is formed."""
+
+    def test_groups_below_the_floor_stay_scalar(self):
+        trace = bursty_trace(60)
+        width = packing.MIN_PACK_WIDTH - 1
+        tasks = [
+            SweepTask(trace, StrategySpec.fixed(2.0 + 0.01 * j), SMALL)
+            for j in range(width)
+        ]
+        assert vector_pack_tasks(tasks) == [None] * width
+
+    def test_a_group_at_the_floor_packs(self):
+        trace = bursty_trace(61)
+        tasks = [
+            SweepTask(trace, StrategySpec.fixed(1.5 + 0.04 * j), SMALL)
+            for j in range(packing.MIN_PACK_WIDTH)
+        ]
+        assert vector_pack_tasks(tasks) == scalar_reference(tasks)
+
+    def test_point_searches_below_the_floor_decline(self):
+        candidates = (2.0, 2.5, 3.0, 3.5)
+        points = packing.MIN_PACK_WIDTH // len(candidates) - 1
+        traces = [bursty_trace(62 + i) for i in range(points)]
+        assert packed_point_searches(traces, candidates, SMALL) is None
+
+
 class _StubKernel:
     """Kernel double whose elements have all failed."""
 
@@ -206,6 +246,7 @@ class _StubKernel:
         }
 
 
+@pytest.mark.usefixtures("narrow_packing")
 class TestFailureLatching:
     def test_failed_elements_rerun_on_the_scalar_engine(self, monkeypatch):
         """A packed element the kernel latches as failed must come back as

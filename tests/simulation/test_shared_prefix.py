@@ -13,6 +13,12 @@ The searches also pin their *path*: every search here must run as
 span-engine segments, so a per-sample ``controller.step`` call (the slow
 path a silent fallback would take) fails the test, and the paper's trace
 shapes must be served by the shared-prefix search rather than declined.
+The pruning is pinned the same way: every reference performance must lie
+under the optimistic bound the search prunes with, a pruned candidate
+must still win when the provisional winner's tail fails, the paper's
+searches must stay under their pruned ``run_trace`` counts, and table
+builds inside the envelope must run one search per point, never the
+packed vector batch.
 
 This file is the differential suite CI runs in the benchmark-smoke job
 (under ``REPRO_SWEEP_WORKERS=2``) together with
@@ -27,15 +33,22 @@ import numpy as np
 import pytest
 
 from repro.core.strategies import FixedUpperBoundStrategy
+from repro.core.vector_kernel import VectorStepKernel
 from repro.errors import ReproError
+from repro.simulation import batch as batch_module
+from repro.simulation import engine
 from repro.simulation.batch import SweepRunner
+from repro.simulation.batch_facility import BatchFacility
 from repro.simulation.config import DataCenterConfig
+from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import (
     DEFAULT_ORACLE_GRID,
+    optimistic_performance,
     shared_prefix_oracle_search,
     simulate_strategy,
 )
 from repro.simulation.faults import FAULT_KINDS, FaultEvent, FaultPlan
+from repro.simulation.packing import packed_point_searches
 from repro.workloads.ms_trace import default_ms_trace
 from repro.workloads.traces import Trace
 from repro.workloads.yahoo_trace import generate_yahoo_trace
@@ -59,9 +72,9 @@ def random_trace(seed: int, n: int = 420, dt_s: float = 1.0) -> Trace:
     return Trace(np.clip(base, 0.0, 4.5), dt_s=dt_s, name=f"random-{seed}")
 
 
-def reference_search(trace, candidates, config, fault_plan=None):
-    """The reference Oracle: one full run per candidate, strict argmax."""
-    best_bound, best_perf = None, -math.inf
+def reference_performances(trace, candidates, config, fault_plan=None):
+    """One full run per candidate; NaN where the run fails."""
+    performances = []
     for bound in candidates:
         try:
             result = simulate_strategy(
@@ -71,12 +84,37 @@ def reference_search(trace, candidates, config, fault_plan=None):
                 fault_plan=fault_plan,
             )
         except ReproError:
+            performances.append(math.nan)
             continue
-        if result.average_performance > best_perf:
-            best_perf = result.average_performance
+        performances.append(result.average_performance)
+    return performances
+
+
+def reference_argmax(candidates, performances):
+    """Strict first-wins argmax, NaN (failed) candidates skipped."""
+    best_bound, best_perf = None, -math.inf
+    for bound, perf in zip(candidates, performances):
+        if perf > best_perf:
+            best_perf = perf
             best_bound = float(bound)
     assert best_bound is not None
     return best_bound, best_perf
+
+
+def reference_search(trace, candidates, config, fault_plan=None):
+    """The reference Oracle: one full run per candidate, strict argmax."""
+    return reference_argmax(
+        candidates,
+        reference_performances(trace, candidates, config, fault_plan),
+    )
+
+
+def assert_under_optimistic_bounds(trace, candidates, config, performances):
+    """Every completed run lies under the bound the search prunes with."""
+    cluster = build_datacenter(config).cluster
+    for bound, perf in zip(candidates, performances):
+        if not math.isnan(perf):
+            assert perf <= optimistic_performance(cluster, trace, bound)
 
 
 class TestNoFaultEquality:
@@ -86,7 +124,9 @@ class TestNoFaultEquality:
         fast = shared_prefix_oracle_search(trace, GRID, SMALL)
         assert fast is not None
         assert controller_calls["step"] == 0
-        assert fast == reference_search(trace, GRID, SMALL)
+        performances = reference_performances(trace, GRID, SMALL)
+        assert fast == reference_argmax(GRID, performances)
+        assert_under_optimistic_bounds(trace, GRID, SMALL, performances)
 
     @pytest.mark.parametrize("seed", (50, 51))
     def test_unsorted_candidate_order(self, seed):
@@ -133,7 +173,72 @@ class TestNoFaultEquality:
             yahoo_trace_5min, candidates, config
         )
         assert fast is not None
-        assert fast == reference_search(yahoo_trace_5min, candidates, config)
+        performances = reference_performances(
+            yahoo_trace_5min, candidates, config
+        )
+        assert fast == reference_argmax(candidates, performances)
+        assert_under_optimistic_bounds(
+            yahoo_trace_5min, candidates, config, performances
+        )
+
+
+class TestPruning:
+    """The optimistic bound must prune, and pruning must never change a
+    result — not even when the provisional winner fails after the burst."""
+
+    def test_pruned_candidate_wins_after_tail_failure(
+        self, yahoo_trace_5min, monkeypatch
+    ):
+        """On the 5-minute degree-3.2 burst the baseline (4.0) serves the
+        whole burst and prunes every other suffix.  Failing its post-burst
+        tail demotes it; the descent must resume and crown a candidate it
+        had pruned, exactly the reference argmax over the survivors."""
+        config = DataCenterConfig()
+        trace = yahoo_trace_5min
+        n = len(trace)
+        real_run_segment = engine._run_segment
+        suffixes = []
+
+        def spy(controller, trace_, start, stop):
+            if stop < n:
+                suffixes.append(controller.strategy.upper_bound)
+            return real_run_segment(controller, trace_, start, stop)
+
+        monkeypatch.setattr(engine, "_run_segment", spy)
+        winner, _ = shared_prefix_oracle_search(
+            trace, DEFAULT_ORACLE_GRID, config
+        )
+        assert winner == 4.0
+
+        def failing_tail(controller, trace_, start, stop):
+            if stop == n and controller.strategy.upper_bound == winner:
+                return start  # the winner's first post-burst step raises
+            return real_run_segment(controller, trace_, start, stop)
+
+        monkeypatch.setattr(engine, "_run_segment", failing_tail)
+        demoted = shared_prefix_oracle_search(
+            trace, DEFAULT_ORACLE_GRID, config
+        )
+        survivors = tuple(c for c in DEFAULT_ORACLE_GRID if c != winner)
+        assert demoted == reference_search(trace, survivors, config)
+        assert demoted[0] not in suffixes  # the bound had pruned it
+
+    @pytest.mark.parametrize(
+        "degree, duration_min, max_calls",
+        # Unpruned, these searches made 17 and 15 run_trace calls.
+        ((3.0, 15, 11), (3.2, 5, 3)),
+    )
+    def test_paper_searches_stay_pruned(
+        self, degree, duration_min, max_calls, controller_calls
+    ):
+        trace = generate_yahoo_trace(
+            burst_degree=degree, burst_duration_min=duration_min
+        )
+        config = DataCenterConfig()
+        fast = shared_prefix_oracle_search(trace, DEFAULT_ORACLE_GRID, config)
+        assert controller_calls["step"] == 0
+        assert controller_calls["run_trace"] <= max_calls
+        assert fast == reference_search(trace, DEFAULT_ORACLE_GRID, config)
 
 
 class TestFaultEquality:
@@ -194,6 +299,74 @@ class TestPaperTraceShapes:
         assert fast is not None
         assert controller_calls["step"] == 0
         assert fast == reference_search(trace, DEFAULT_ORACLE_GRID, config)
+
+
+class TestTableRouting:
+    """Table builds inside the shared-prefix envelope run one pruned
+    search per point and no vector step; outside it (a sub-1.0 candidate)
+    the grid still runs as one packed batch."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"search": 0, "vector_step": 0, "demand_matrix": 0}
+        search = batch_module.shared_prefix_oracle_search
+        step = VectorStepKernel.step
+        demand_matrix = BatchFacility.run_demand_matrix
+
+        def counting_search(*args, **kwargs):
+            counts["search"] += 1
+            return search(*args, **kwargs)
+
+        def counting_step(self, *args, **kwargs):
+            counts["vector_step"] += 1
+            return step(self, *args, **kwargs)
+
+        def counting_demand_matrix(self, *args, **kwargs):
+            counts["demand_matrix"] += 1
+            return demand_matrix(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            batch_module, "shared_prefix_oracle_search", counting_search
+        )
+        monkeypatch.setattr(VectorStepKernel, "step", counting_step)
+        monkeypatch.setattr(
+            BatchFacility, "run_demand_matrix", counting_demand_matrix
+        )
+        return counts
+
+    def test_six_point_table_matches_the_packed_tier(self, counts):
+        durations, degrees = (1.0, 5.0), (2.6, 3.0, 3.4)
+        with SweepRunner(max_workers=1) as runner:
+            table = runner.build_upper_bound_table(
+                burst_durations_min=durations, burst_degrees=degrees
+            )
+        assert counts == {"search": 6, "vector_step": 0, "demand_matrix": 0}
+        traces = [
+            generate_yahoo_trace(burst_degree=g, burst_duration_min=d)
+            for d in durations
+            for g in degrees
+        ]
+        packed = packed_point_searches(
+            traces, DEFAULT_ORACLE_GRID, DataCenterConfig()
+        )
+        assert packed is not None
+        assert [entry[2] for entry in table.entries()] == [
+            found[0] for found in packed
+        ]
+
+    def test_default_table_runs_one_search_per_point(self, counts):
+        with SweepRunner(max_workers=1) as runner:
+            table = runner.build_upper_bound_table()
+        assert len(table) == 24
+        assert counts == {"search": 24, "vector_step": 0, "demand_matrix": 0}
+
+    def test_sub_normal_candidate_keeps_the_packed_batch(self, counts):
+        with SweepRunner(max_workers=1) as runner:
+            runner.build_upper_bound_table(
+                candidates=(0.9,) + DEFAULT_ORACLE_GRID
+            )
+        assert counts["demand_matrix"] == 1
+        assert counts["search"] == 0
 
 
 class TestValidityEnvelope:
