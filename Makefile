@@ -71,31 +71,27 @@ sweep-smoke:
 	rm -rf .repro-sweep-smoke
 	@echo "sweep smoke ok: warm rerun answered entirely from cache"
 
-# Exercise the work-queue backend end-to-end: two sweep-worker processes
-# drain the queue a driver fills, and the resulting table must be
-# line-identical to the in-process backend's on the same grid.
+# Exercise both sweep backends end-to-end: a 2-worker process-pool table
+# must be line-identical to the in-process backend's on the same grid, and
+# `repro cache gc` must then reclaim the pool run's store.
 backends-smoke:
-	rm -rf .repro-smoke-queue .repro-smoke-cache-q .repro-smoke-cache-i \
-		.repro-smoke-q.txt .repro-smoke-i.txt
-	python -m repro sweep-worker .repro-smoke-queue --idle-timeout 60 & \
-	python -m repro sweep-worker .repro-smoke-queue --idle-timeout 60 & \
-	python -m repro sweep --table \
-		--backend work-queue --queue-dir .repro-smoke-queue \
-		--cache-dir .repro-smoke-cache-q \
+	rm -rf .repro-smoke-cache-p .repro-smoke-cache-i \
+		.repro-smoke-p.txt .repro-smoke-i.txt
+	python -m repro sweep --table --workers 2 \
+		--cache-dir .repro-smoke-cache-p \
 		--durations 1,5 --degrees 2.8,3.2 --candidates 2.0,3.0,4.0 \
-		| grep -v "sweep engine" > .repro-smoke-q.txt; \
-	wait
+		| grep -v "sweep engine" > .repro-smoke-p.txt
 	python -m repro sweep --table \
 		--backend in-process \
 		--cache-dir .repro-smoke-cache-i \
 		--durations 1,5 --degrees 2.8,3.2 --candidates 2.0,3.0,4.0 \
 		| grep -v "sweep engine" > .repro-smoke-i.txt
-	diff .repro-smoke-q.txt .repro-smoke-i.txt
-	python -m repro cache gc --dir .repro-smoke-cache-q --max-age-s 0 \
+	diff .repro-smoke-p.txt .repro-smoke-i.txt
+	python -m repro cache gc --dir .repro-smoke-cache-p --max-age-s 0 \
 		| tee /dev/stderr | grep -q "removed"
-	rm -rf .repro-smoke-queue .repro-smoke-cache-q .repro-smoke-cache-i \
-		.repro-smoke-q.txt .repro-smoke-i.txt
-	@echo "backends smoke ok: work-queue table identical to in-process"
+	rm -rf .repro-smoke-cache-p .repro-smoke-cache-i \
+		.repro-smoke-p.txt .repro-smoke-i.txt
+	@echo "backends smoke ok: process-pool table identical to in-process"
 
 # Exercise fault injection and graceful degradation end-to-end: a fault
 # mid-sprint must degrade the run, not crash it, and a faulted sweep must

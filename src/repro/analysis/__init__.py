@@ -12,9 +12,8 @@ Seven domain rules guard invariants ordinary linters cannot see:
 * ``cache-key-coverage`` — every ``StrategySpec``/``DataCenterConfig``/
   ``FaultPlan`` field must flow into the SHA-256 sweep cache key, and
   ``CACHE_FORMAT_VERSION`` must be bumped when the key shape changes;
-* ``fs-atomicity`` — the shared-directory modules (artifact store, work
-  queue) must publish files via mkstemp + ``os.replace``, keep manifest
-  appends to a single write, and never read task files without a lease;
+* ``fs-atomicity`` — the artifact store must publish files via mkstemp +
+  ``os.replace`` and keep manifest appends to a single write;
 * ``units`` — unit arithmetic goes through :mod:`repro.units`, and
   identifiers with different unit suffixes are never added or compared;
 * ``determinism`` — the hot paths stay free of wall clocks, global RNG

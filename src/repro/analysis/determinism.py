@@ -32,9 +32,7 @@ HOT_PATH_SUFFIXES = (
     "repro/simulation/rollout.py",
     # Scheduling decides where a task runs, never what it computes, and
     # the packed tier must stay bit-identical to the scalar path — so
-    # neither may consult a clock or entropy source.  (The work-queue
-    # module needs wall-clock leases, which is exactly why it is a
-    # separate module off this list.)
+    # neither may consult a clock or entropy source.
     "repro/simulation/scheduler.py",
     "repro/simulation/packing.py",
 )

@@ -1,10 +1,10 @@
-"""``fs-atomicity`` rule: shared-directory I/O must stay crash/race-safe.
+"""``fs-atomicity`` rule: the artifact store's I/O must stay crash-safe.
 
-The artifact store (:mod:`repro.simulation.store`) and the multi-host
-work queue (:mod:`repro.simulation.workqueue`) coordinate concurrent
-processes — possibly on different machines — through nothing but a
-shared directory.  That only works because every write obeys three
-disciplines:
+The artifact store (:mod:`repro.simulation.store`) is shared by every
+sweep process pointed at the same cache directory, with nothing but the
+filesystem between them.  A crash mid-write or a concurrent writer must
+never leave a torn entry or manifest line, which holds only because
+every write obeys two disciplines:
 
 * **atomic publication** — a file another process may read is written to
   a ``tempfile.mkstemp`` sibling and ``os.replace``d into place; readers
@@ -15,12 +15,8 @@ disciplines:
   "a")``, which the OS maps to ``O_APPEND``); one ``write()`` call per
   open keeps concurrent appenders' lines intact, while several writes
   (or a write in a loop) can interleave mid-record.
-* **claim before read** — a task file under ``tasks_dir`` belongs to no
-  one; reading it without first claiming it (the atomic rename into
-  ``leases/``) races the worker that wins the claim.  Reads through a
-  held lease path are the contract working as designed.
 
-The rule applies only to the modules that write shared directories
+The rule applies only to the store module
 (:data:`SHARED_DIR_MODULE_SUFFIXES`); everything else may use plain
 file I/O freely.
 """
@@ -28,18 +24,12 @@ file I/O freely.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from repro.analysis.framework import Finding, Rule, SourceFile
 
-#: Modules whose on-disk state is shared between processes/hosts.
-SHARED_DIR_MODULE_SUFFIXES = (
-    "repro/simulation/store.py",
-    "repro/simulation/workqueue.py",
-)
-
-#: Read helpers whose argument must not be an unclaimed task path.
-_READ_METHODS = frozenset({"read_text", "read_bytes", "_read_json"})
+#: Modules whose on-disk state is shared between processes.
+SHARED_DIR_MODULE_SUFFIXES = ("repro/simulation/store.py",)
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -82,23 +72,13 @@ def _is_append_mode(mode: Optional[str]) -> bool:
     return mode is not None and "a" in mode and "+" not in mode
 
 
-def _mentions_tasks_dir(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "tasks_dir":
-            return True
-        if isinstance(sub, ast.Name) and sub.id == "tasks_dir":
-            return True
-    return False
-
-
 class FsAtomicityRule(Rule):
-    """Non-atomic shared-directory I/O in the store/work-queue modules."""
+    """Non-atomic shared-directory I/O in the artifact store."""
 
     rule_id = "fs-atomicity"
     description = (
-        "shared-directory modules must publish files via mkstemp + "
-        "os.replace, keep manifest appends to a single write, and never "
-        "read task files without holding the lease"
+        "the artifact store must publish files via mkstemp + "
+        "os.replace and keep manifest appends to a single write"
     )
 
     def check_file(self, source: SourceFile) -> List[Finding]:
@@ -172,7 +152,6 @@ class FsAtomicityRule(Rule):
                         "into place",
                     )
                 )
-            findings.extend(self._check_unclaimed_read(source, node))
 
         findings.extend(self._check_appends(source, function))
         return findings
@@ -235,39 +214,6 @@ class FsAtomicityRule(Rule):
                         )
                     )
         return findings
-
-    def _check_unclaimed_read(
-        self, source: SourceFile, node: ast.Call
-    ) -> List[Finding]:
-        """Reads whose target path is derived from ``tasks_dir``."""
-        func = node.func
-        is_read = False
-        target: Optional[ast.AST] = None
-        if isinstance(func, ast.Attribute) and func.attr in _READ_METHODS:
-            is_read = True
-            target = node.args[0] if node.args else func.value
-        elif _call_name(node) == "open" and not _is_write_mode(
-            _open_mode(node)
-        ) and not _is_append_mode(_open_mode(node)):
-            is_read = True
-            target = node.args[0] if node.args else None
-        elif _call_name(node) in ("json.load", "json.loads") and node.args:
-            is_read = True
-            target = node.args[0]
-        if not is_read or target is None:
-            return []
-        if not _mentions_tasks_dir(target):
-            return []
-        return [
-            self._finding(
-                source,
-                node,
-                "read of a file under tasks_dir without holding its "
-                "lease: another worker can claim (rename) and execute "
-                "it concurrently — claim the task into leases/ first "
-                "and read the lease path",
-            )
-        ]
 
     def _finding(
         self, source: SourceFile, node: ast.AST, message: str

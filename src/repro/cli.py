@@ -15,17 +15,16 @@ Usage::
     python -m repro sweep --headroom --fault-plan plan.json
     python -m repro sweep --table            # Oracle upper-bound table
     python -m repro sweep --table --workers 4 --cache-dir /tmp/sweeps
-    python -m repro sweep --table --backend work-queue --queue-dir /tmp/q
-    python -m repro sweep-worker /tmp/q      # drain a shared work queue
+    python -m repro sweep --table --backend in-process   # serial
     python -m repro cache gc --max-age-s 86400 --dry-run
     python -m repro profile                  # hot functions of the loop
     python -m repro profile --reference      # ... of the pre-kernel path
 
 The ``sweep`` subcommand runs on the batch engine
-(:mod:`repro.simulation.batch`): ``--backend`` selects where uncached
-work executes (``in-process``, ``process-pool`` — sized by ``--workers``
-— or a multi-process ``work-queue`` drained by ``repro sweep-worker``),
-and results are memoised in a shared content-addressed artifact store
+(:mod:`repro.simulation.batch`): uncached work executes ``in-process``
+or on a ``process-pool`` sized by ``--workers`` (``--backend`` forces
+one; by default more than one worker selects the pool), and results are
+memoised in a shared content-addressed artifact store
 (``--no-cache`` disables it, ``--cache-dir`` relocates it,
 ``repro cache gc`` prunes it).
 
@@ -51,6 +50,7 @@ from repro.units import to_minutes
 from repro.simulation.config import DEFAULT_CONFIG, DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import oracle_for_trace, simulate_strategy
+from repro.simulation.scheduler import BACKEND_NAMES
 from repro.testbed.experiment import (
     no_ups_trip_time_s,
     run_reserve_sweep,
@@ -458,7 +458,6 @@ def _sweep_runner(args: argparse.Namespace) -> "SweepRunner":
             max_workers=args.workers,
             cache_dir=cache_dir,
             backend=args.backend,
-            queue_dir=args.queue_dir,
         )
     except ConfigurationError as exc:
         raise SystemExit(f"repro sweep: {exc}")
@@ -560,24 +559,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(
         f"(sweep engine: {runner.max_workers} worker(s), "
         f"{runner.hits} cache hit(s), {runner.misses} miss(es))"
-    )
-    return 0
-
-
-def _cmd_sweep_worker(args: argparse.Namespace) -> int:
-    from repro.simulation.workqueue import WorkQueue, drain
-
-    queue = WorkQueue(args.queue_dir, lease_timeout_s=args.lease_timeout)
-    executed = drain(
-        queue,
-        max_tasks=args.max_tasks,
-        idle_timeout_s=args.idle_timeout,
-        poll_interval_s=args.poll_interval,
-    )
-    queued, leased, results = queue.pending_counts()
-    print(
-        f"sweep-worker: executed {executed} task(s); queue now has "
-        f"{queued} queued, {leased} leased, {results} result(s)"
     )
     return 0
 
@@ -743,12 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="process-pool size (default: all cores)")
     sweep.add_argument("--backend", default=None,
-                       choices=("in-process", "process-pool", "work-queue"),
+                       choices=BACKEND_NAMES,
                        help="execution backend (default: process-pool when "
                             "--workers > 1, else in-process)")
-    sweep.add_argument("--queue-dir", default=None, metavar="DIR",
-                       help="work-queue directory for --backend work-queue "
-                            "(shared with repro sweep-worker processes)")
     sweep.add_argument("--cache-dir", default=None,
                        help="result-cache directory "
                             "(default .repro-sweep-cache)")
@@ -766,28 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "on the scalar span engine; for differential "
                             "debugging)")
     sweep.set_defaults(func=_cmd_sweep)
-
-    worker = subparsers.add_parser(
-        "sweep-worker",
-        help="drain one sweep work-queue directory (run N of these "
-             "against the queue a work-queue sweep driver fills)",
-    )
-    worker.add_argument("queue_dir", metavar="QUEUE_DIR",
-                        help="the queue directory shared with the driver")
-    worker.add_argument("--max-tasks", type=int, default=None,
-                        help="stop after this many tasks (default: no cap)")
-    worker.add_argument("--idle-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="keep polling an empty queue this long before "
-                             "exiting (default: exit when empty)")
-    worker.add_argument("--poll-interval", type=float, default=0.05,
-                        metavar="SECONDS",
-                        help="empty-queue poll interval (default 0.05)")
-    worker.add_argument("--lease-timeout", type=float, default=60.0,
-                        metavar="SECONDS",
-                        help="lease expiry for crashed-worker reclaim "
-                             "(default 60; must match the driver's)")
-    worker.set_defaults(func=_cmd_sweep_worker)
 
     cache = subparsers.add_parser(
         "cache",

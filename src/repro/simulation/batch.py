@@ -7,12 +7,11 @@ loops into declarative batches:
 
 * a :class:`SweepTask` names one run — ``(config, trace, strategy spec)`` —
   in a fully picklable, hashable form;
-* a :class:`SweepRunner` dispatches batches through a pluggable
-  :class:`~repro.simulation.scheduler.SweepScheduler` backend —
-  ``in-process`` (serial reference), ``process-pool`` (persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor`), or ``work-queue``
-  (a multi-host file/directory queue drained by ``repro sweep-worker``
-  processes) — after answering what it can from a shared
+* a :class:`SweepRunner` dispatches batches through one of two
+  :class:`~repro.simulation.scheduler.SweepScheduler` backends —
+  ``in-process`` (serial reference) or ``process-pool`` (persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor`), chosen by worker
+  count — after answering what it can from a shared
   content-addressed :class:`~repro.simulation.store.ArtifactStore`, so
   repeated Oracle searches and upper-bound-table builds are near-free
   across benchmark runs; wide groups of compatible fixed-bound tasks run
@@ -79,15 +78,6 @@ from repro.simulation.scheduler import (
     InProcessScheduler,
     ProcessPoolScheduler,
     SweepScheduler,
-    _ShippedSearch as _ShippedSearch,
-    _ShippedTask as _ShippedTask,
-    _WORKER_FACILITIES as _WORKER_FACILITIES,
-    _WORKER_TRACES as _WORKER_TRACES,
-    _execute_shipped as _execute_shipped,
-    _execute_shipped_search as _execute_shipped_search,
-    _facility_for as _facility_for,
-    _init_worker as _init_worker,
-    _trace_content_key as _trace_content_key,
 )
 from repro.simulation.store import ArtifactStore
 from repro.units import minutes
@@ -319,58 +309,6 @@ class StrategySpec:
             "forecast": self.forecast,
             "violation_penalty_s": self.violation_penalty_s,
         }
-
-    @classmethod
-    def from_canonical(cls, payload: Dict) -> "StrategySpec":
-        """Inverse of :meth:`canonical` (the work-queue wire format).
-
-        Raises :class:`~repro.errors.ConfigurationError` on malformed
-        payloads; validity of the *values* is still checked by
-        :meth:`build`, exactly as for a locally constructed spec.
-        """
-        try:
-            upper_bound = payload["upper_bound"]
-            predicted = payload["predicted_burst_duration_s"]
-            estimated = payload["estimated_best_degree"]
-            entries = payload["table_entries"]
-            horizon = payload["horizon_s"]
-            replan = payload["replan_interval_s"]
-            cand = payload["candidate_bounds"]
-            forecast = payload["forecast"]
-            penalty = payload["violation_penalty_s"]
-            return cls(
-                kind=str(payload["kind"]),
-                upper_bound=None if upper_bound is None else float(upper_bound),
-                predicted_burst_duration_s=(
-                    None if predicted is None else float(predicted)
-                ),
-                estimated_best_degree=(
-                    None if estimated is None else float(estimated)
-                ),
-                flexibility_percent=float(payload["flexibility_percent"]),
-                max_degree=float(payload["max_degree"]),
-                table_entries=(
-                    None
-                    if entries is None
-                    else tuple(
-                        (float(d), float(g), float(ub))
-                        for d, g, ub in entries
-                    )
-                ),
-                horizon_s=None if horizon is None else float(horizon),
-                replan_interval_s=None if replan is None else float(replan),
-                candidate_bounds=(
-                    None if cand is None else tuple(float(b) for b in cand)
-                ),
-                forecast=None if forecast is None else str(forecast),
-                violation_penalty_s=(
-                    None if penalty is None else float(penalty)
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed strategy spec payload: {exc}"
-            ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +568,9 @@ def execute_task(task: SweepTask) -> TaskResult:
 # ---------------------------------------------------------------------------
 # The pooled worker machinery (_WORKER_TRACES, _ShippedTask, _init_worker,
 # _facility_for, _execute_shipped, ...) lives in
-# :mod:`repro.simulation.scheduler` and is re-exported above: worker
-# functions resolve ``execute_task`` / ``_oracle_point_search`` through
-# *this* module at call time, so test doubles installed here apply to
-# every backend.
+# :mod:`repro.simulation.scheduler`.  Its worker functions resolve
+# ``execute_task`` / ``_oracle_point_search`` through *this* module at call
+# time, so test doubles installed here apply to both backends.
 
 
 def _oracle_point_search(
@@ -694,16 +631,10 @@ class SweepRunner:
         write.  ``None`` disables caching.
     backend:
         One of :data:`~repro.simulation.scheduler.BACKEND_NAMES`
-        (``in-process`` | ``process-pool`` | ``work-queue``), or ``None``
-        to pick from ``max_workers``.  ``process-pool`` with an effective
-        worker count of 1 degrades to ``in-process`` — a one-worker pool
-        is pure pickling overhead.
-    queue_dir:
-        Shared queue directory, required by (and only meaningful for)
-        the ``work-queue`` backend.
-    lease_timeout_s:
-        Work-queue heartbeat staleness threshold before a crashed
-        worker's task is reclaimed.
+        (``in-process`` | ``process-pool``), or ``None`` to pick from
+        ``max_workers``.  ``process-pool`` with an effective worker count
+        of 1 degrades to ``in-process`` — a one-worker pool is pure
+        pickling overhead.
     vector_pack:
         Whether compatible fixed-bound tasks may execute on the packed
         :class:`~repro.core.vector_kernel.VectorStepKernel` tier instead
@@ -722,8 +653,6 @@ class SweepRunner:
         max_workers: Optional[int] = 1,
         cache_dir: Union[str, "os.PathLike[str]", None] = None,
         backend: Optional[str] = None,
-        queue_dir: Union[str, "os.PathLike[str]", None] = None,
-        lease_timeout_s: float = 60.0,
         vector_pack: bool = True,
     ) -> None:
         if max_workers is None:
@@ -740,27 +669,13 @@ class SweepRunner:
             else ArtifactStore(self.cache_dir, CACHE_FORMAT_VERSION)
         )
         self.vector_pack = bool(vector_pack)
-        if backend is None:
-            backend = "process-pool" if self.max_workers > 1 else "in-process"
-        if backend not in BACKEND_NAMES:
+        if backend is not None and backend not in BACKEND_NAMES:
             raise ConfigurationError(
                 f"unknown sweep backend {backend!r}; expected one of "
                 f"{', '.join(BACKEND_NAMES)}"
             )
-        if backend == "process-pool" and self.max_workers == 1:
-            backend = "in-process"
         self._scheduler: SweepScheduler
-        if backend == "work-queue":
-            if queue_dir is None:
-                raise ConfigurationError(
-                    "the work-queue backend needs a queue_dir"
-                )
-            from repro.simulation.workqueue import WorkQueueScheduler
-
-            self._scheduler = WorkQueueScheduler(
-                queue_dir, lease_timeout_s=lease_timeout_s
-            )
-        elif backend == "process-pool":
+        if backend != "in-process" and self.max_workers > 1:
             self._scheduler = ProcessPoolScheduler(self.max_workers)
         else:
             self._scheduler = InProcessScheduler()
@@ -771,7 +686,7 @@ class SweepRunner:
 
     @property
     def _pool(self) -> Optional["ProcessPoolExecutor"]:
-        """The backend's live process pool (``None`` for poolless backends).
+        """The backend's live process pool (``None`` for ``in-process``).
 
         Kept as a property so the pool-persistence tests keep observing
         the executor exactly where they always did.
@@ -786,15 +701,23 @@ class SweepRunner:
         """Build a runner from the environment knobs (benchmark default).
 
         Workers come from ``REPRO_SWEEP_WORKERS`` (default
-        ``os.cpu_count()``); an effective count of 1 — a single-core host,
-        or an explicit ``REPRO_SWEEP_WORKERS=1`` — selects the in-process
-        backend outright, so no pool is ever spawned for serial work.
+        ``os.cpu_count()``; a value that is not a whole number raises
+        :class:`~repro.errors.ConfigurationError`); an effective count of
+        1 — a single-core host, or an explicit ``REPRO_SWEEP_WORKERS=1`` —
+        selects the in-process backend outright, so no pool is ever
+        spawned for serial work.
         Caching defaults to *on* in ``.repro-sweep-cache`` under the
         working directory, and is disabled by
         ``REPRO_SWEEP_CACHE_DIR=off``.
         """
         workers_env = os.environ.get(ENV_WORKERS, "").strip()
-        max_workers = int(workers_env) if workers_env else None
+        try:
+            max_workers = int(workers_env) if workers_env else None
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{ENV_WORKERS} must be a whole number of workers, "
+                f"got {workers_env!r}"
+            ) from exc
         cache_env = os.environ.get(ENV_CACHE_DIR, "").strip()
         if cache_env.lower() in ("off", "0", "none", "disabled"):
             cache_dir: Optional[Path] = None
@@ -813,13 +736,12 @@ class SweepRunner:
         Cached results are returned without recomputation.  Of the
         remainder, compatible fixed-bound fault-free tasks execute on the
         vector-packed kernel tier (bit-identical to the scalar path, one
-        lockstep batch instead of one run per task) unless the backend
-        opts out (the work queue ships everything so external workers can
-        claim it); whatever is left goes to the scheduler backend.  All
-        fresh results are written back to the store.  Failed grid points
-        come back as :class:`RunFailure` records (also cached — a
-        deterministic failure recomputes exactly as pointlessly as a
-        deterministic success), never as ``None``.
+        lockstep batch instead of one run per task); whatever is left
+        goes to the scheduler backend.  All fresh results are written
+        back to the store.  Failed grid points come back as
+        :class:`RunFailure` records (also cached — a deterministic
+        failure recomputes exactly as pointlessly as a deterministic
+        success), never as ``None``.
         """
         self._ensure_open()
         outcomes: List[Optional[TaskResult]] = [None] * len(tasks)
@@ -837,7 +759,7 @@ class SweepRunner:
         if pending:
             pending_tasks = [task for _, task, _ in pending]
             computed: List[Optional[TaskResult]] = [None] * len(pending)
-            if self.vector_pack and self._scheduler.packs_inline:
+            if self.vector_pack:
                 for k, packed in enumerate(vector_pack_tasks(pending_tasks)):
                     computed[k] = packed
             leftover = [k for k in range(len(pending)) if computed[k] is None]
@@ -859,7 +781,7 @@ class SweepRunner:
         """Shut down the runner (idempotent).
 
         Releases the backend's resources (a persistent worker pool for
-        ``process-pool``; a no-op for the other backends) and latches the
+        ``process-pool``; a no-op for ``in-process``) and latches the
         runner closed: submitting further work raises
         :class:`~repro.errors.ConfigurationError` instead of a pool
         error.  Runners also work as context managers —
@@ -887,9 +809,9 @@ class SweepRunner:
             self.close()
         except (AttributeError, OSError, RuntimeError) as exc:
             # AttributeError: a runner whose __init__ raised never set
-            # _pool; OSError/RuntimeError: during interpreter shutdown the
-            # executor machinery may already be torn down.  Either way
-            # there is nothing left to clean up.
+            # _scheduler; OSError/RuntimeError: during interpreter
+            # shutdown the executor machinery may already be torn down.
+            # Either way there is nothing left to clean up.
             _LOG.debug("pool shutdown in __del__ failed: %s", exc)
 
     def simulate(
@@ -1069,10 +991,8 @@ class SweepRunner:
         to the scheduler backend, which keeps the per-point strict argmax
         semantics.
         """
-        if (
-            self.vector_pack
-            and self._scheduler.packs_inline
-            and not shared_prefix_envelope(build_datacenter(config), candidates)
+        if self.vector_pack and not shared_prefix_envelope(
+            build_datacenter(config), candidates
         ):
             packed = packed_point_searches(point_traces, candidates, config)
             if packed is not None:

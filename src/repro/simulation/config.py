@@ -16,8 +16,8 @@ Every number below is quoted from the paper's simulation setup:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, Mapping
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict
 
 from repro.errors import ConfigurationError
 from repro.units import require_non_negative, require_positive
@@ -128,17 +128,6 @@ class DataCenterConfig:
         present, so perturbing any one of them changes the cache key.
         """
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DataCenterConfig":
-        """Rebuild a (validated) configuration from :meth:`to_dict` output."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown configuration fields: {sorted(unknown)}"
-            )
-        return cls(**dict(payload))
 
 
 #: The paper's default configuration, shared by experiments and tests.

@@ -1,34 +1,31 @@
 """Pluggable sweep-execution backends behind one scheduler interface.
 
 :class:`SweepScheduler` is the seam :class:`~repro.simulation.batch.SweepRunner`
-dispatches uncached work through.  Three backends implement it:
+dispatches uncached work through.  Two backends implement it, and the
+runner picks between them by worker count:
 
 * :class:`InProcessScheduler` — strictly serial, zero IPC; the reference
-  path every other backend is checked against, and the right choice on a
+  path the pool backend is checked against, and the right choice on a
   single-core host (no pickling overhead for no parallelism);
 * :class:`ProcessPoolScheduler` — the persistent
   :class:`~concurrent.futures.ProcessPoolExecutor` path extracted from
   ``SweepRunner``: traces ship to workers once per pool by content hash
   (via the initializer), workers cache one facility per configuration,
-  and the pool survives across batches until a new trace must ship;
-* :class:`~repro.simulation.workqueue.WorkQueueScheduler` — a multi-host
-  file/directory work queue (atomically-claimed task files + heartbeat
-  leases) drained by any number of ``repro sweep-worker`` processes.
+  and the pool survives across batches until a new trace must ship.
 
-Every backend must produce results element-wise identical to
+Both backends must produce results element-wise identical to
 :func:`repro.simulation.batch.execute_task`; the parametrized backend
 suite in ``tests/simulation/test_backends.py`` pins that contract.
 
 This module is on the determinism hot-path list: scheduling decides only
 *where* a task runs, never *what* it computes, so nothing here may read a
-wall clock or entropy source.  (The work-queue backend needs wall-clock
-leases, which is exactly why it lives in its own module off the hot list.)
+wall clock or entropy source.
 
 Worker-side entry points (:func:`_execute_shipped`,
 :func:`_execute_shipped_search`) resolve ``execute_task`` /
 ``_oracle_point_search`` through :mod:`repro.simulation.batch` at call
 time, so test doubles installed over the batch module's names apply to
-every backend uniformly.
+both backends uniformly.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ if TYPE_CHECKING:
 _LOG = logging.getLogger(__name__)
 
 #: The selectable backend names (``repro sweep --backend``).
-BACKEND_NAMES = ("in-process", "process-pool", "work-queue")
+BACKEND_NAMES = ("in-process", "process-pool")
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +178,6 @@ class SweepScheduler(ABC):
     #: Backend name (one of :data:`BACKEND_NAMES`).
     name: str = "abstract"
 
-    #: Whether the runner may execute vector-packable tasks inline before
-    #: dispatching the remainder to this backend.  The work-queue backend
-    #: opts out: its whole point is shipping every task through the shared
-    #: queue so external workers can claim them.
-    packs_inline: bool = True
-
     @abstractmethod
     def run_tasks(self, tasks: Sequence["SweepTask"]) -> List["TaskResult"]:
         """Execute ``tasks``, preserving input order."""
@@ -209,8 +200,8 @@ class InProcessScheduler(SweepScheduler):
     """Strictly serial in-process execution — the reference backend.
 
     Zero processes, zero pickling: the right choice for debugging, for
-    single-core hosts, and as the identity baseline the parallel backends
-    are differenced against.
+    single-core hosts, and as the identity baseline the pool backend is
+    differenced against.
     """
 
     name = "in-process"

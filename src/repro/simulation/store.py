@@ -13,8 +13,8 @@ SHA-256 task keys, the same one-JSON-file-per-entry payload format
   ``repro cache gc``);
 * **corrupt-manifest self-heal**: a torn or tampered manifest logs a
   warning and is rebuilt from a directory scan instead of raising —
-  concurrent appenders (queue workers on several hosts share one store)
-  make occasional torn lines a fact of life, not an error.
+  concurrent appenders (several sweep processes sharing one store
+  directory) make occasional torn lines a fact of life, not an error.
 
 Entries are written atomically (temp file + ``os.replace``), so readers
 on the same filesystem never observe a partial payload; a corrupt,

@@ -1,9 +1,9 @@
 """The fs-atomicity checker: clean on the real tree, tamper-sensitive.
 
-The first test doubles as the tier-1 guard of the shared-directory I/O
-discipline: a bare ``open(path, "w")`` in the artifact store, a torn
-multi-write manifest append, or a work-queue read that bypasses the
-lease claim fails the local test run, not just CI.
+The first test doubles as the tier-1 guard of the artifact store's I/O
+discipline: a bare ``open(path, "w")`` or ``Path.write_text`` in the
+store, or a torn multi-write manifest append, fails the local test run,
+not just CI.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ def tampered(sources, filename, old, new):
 
 
 class TestRealTree:
-    def test_store_and_workqueue_are_clean(self, real_sources):
+    def test_store_is_clean(self, real_sources):
         findings = run_rule(real_sources)
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_rule_ignores_other_modules(self, tmp_path):
-        # Plain file I/O outside the shared-directory modules is fine.
+        # Plain file I/O outside the store module is fine.
         target = tmp_path / "mod.py"
         target.write_text(
             "def save(path, data):\n"
@@ -113,19 +113,4 @@ class TestTamperSensitivity:
         assert any(
             "append-mode open with multiple writes" in f.message
             for f in findings
-        )
-
-    def test_unclaimed_task_read_is_detected(self, real_sources):
-        # Read the task file still sitting in tasks_dir instead of the
-        # claimed lease path: races the worker that wins the claim.
-        sources = tampered(
-            real_sources,
-            "workqueue.py",
-            "payload = queue._read_json(lease_path)",
-            "payload = queue._read_json("
-            "queue.tasks_dir / lease_path.name)",
-        )
-        findings = run_rule(sources)
-        assert any(
-            "without holding its lease" in f.message for f in findings
         )

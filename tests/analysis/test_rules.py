@@ -138,9 +138,7 @@ class TestDeterminismRule:
     )
     def test_sweep_dispatch_modules_are_hot_paths(self, tmp_path, relpath):
         """Scheduling and packing decide where work runs, never what it
-        computes — a wall clock inside either must be flagged.  (The
-        work-queue module needs clocks for leases and deliberately stays
-        off the hot list.)"""
+        computes — a wall clock inside either must be flagged."""
         report = run_rule(
             DeterminismRule(),
             tmp_path,

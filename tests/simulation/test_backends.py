@@ -1,11 +1,11 @@
 """Backend identity: the scheduler contract, pinned.
 
-Every :class:`SweepScheduler` backend — and the vector-packed tier that
-runs in front of the inline backends — must produce results element-wise
-identical to the serial in-process reference, for successes, for cached
-replays and for failures.  The parametrized tests here difference each
-backend against the same reference results, so a new backend joins the
-contract by joining ``BACKENDS``.
+Both :class:`SweepScheduler` backends — and the vector-packed tier that
+runs in front of them — must produce results element-wise identical to
+the serial in-process reference, for successes, for cached replays and
+for failures.  The parametrized tests here difference each backend
+against the same reference results, so a new backend joins the contract
+by joining ``BACKENDS``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ CANDIDATES = (2.0, 2.5, 3.0, 3.5)
 
 #: Every selectable execution path.  ``vector-packed`` is the in-process
 #: backend with the packed kernel tier enabled (the default); the other
-#: three run with packing off so each backend's own execution path is the
+#: two run with packing off so each backend's own execution path is the
 #: thing under test.
-BACKENDS = ("in-process", "process-pool", "work-queue", "vector-packed")
+BACKENDS = ("in-process", "process-pool", "vector-packed")
 
 #: A sub-1.0 candidate takes a table build outside the shared-prefix
 #: envelope, where the ``vector-packed`` leg packs the whole table into one
@@ -47,17 +47,9 @@ def burst_trace(seed: int = 0, n: int = 90) -> Trace:
     return Trace(samples, name=f"backend-{seed}")
 
 
-def make_runner(backend: str, tmp_path, cache_dir=None) -> SweepRunner:
+def make_runner(backend: str, cache_dir=None) -> SweepRunner:
     if backend == "vector-packed":
         return SweepRunner(max_workers=1, cache_dir=cache_dir)
-    if backend == "work-queue":
-        return SweepRunner(
-            max_workers=1,
-            cache_dir=cache_dir,
-            backend="work-queue",
-            queue_dir=tmp_path / "queue",
-            vector_pack=False,
-        )
     if backend == "process-pool":
         return SweepRunner(
             max_workers=2,
@@ -139,9 +131,9 @@ def reference_packed_table():
 class TestBackendIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mixed_batch_matches_reference(
-        self, backend, tmp_path, reference_results, vector_steps
+        self, backend, reference_results, vector_steps
     ):
-        runner = make_runner(backend, tmp_path)
+        runner = make_runner(backend)
         try:
             assert runner.run_tasks(mixed_tasks()) == reference_results
         finally:
@@ -150,9 +142,9 @@ class TestBackendIdentity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_upper_bound_table_matches_reference(
-        self, backend, tmp_path, reference_table, vector_steps
+        self, backend, reference_table, vector_steps
     ):
-        runner = make_runner(backend, tmp_path)
+        runner = make_runner(backend)
         try:
             table = build_table(runner, CANDIDATES)
         finally:
@@ -162,9 +154,9 @@ class TestBackendIdentity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_packed_table_matches_reference(
-        self, backend, tmp_path, reference_packed_table, vector_steps
+        self, backend, reference_packed_table, vector_steps
     ):
-        runner = make_runner(backend, tmp_path)
+        runner = make_runner(backend)
         try:
             table = build_table(runner, PACKED_TABLE_CANDIDATES)
         finally:
@@ -197,7 +189,7 @@ class TestBackendIdentity:
             StrategySpec.mpc(candidate_bounds=CANDIDATES),
             SMALL,
         )
-        runner = make_runner(backend, tmp_path, cache_dir=tmp_path / "cache")
+        runner = make_runner(backend, cache_dir=tmp_path / "cache")
         try:
             first = runner.run_tasks([task])[0]
             again = runner.run_tasks([task])[0]
@@ -215,7 +207,7 @@ class TestBackendIdentity:
     ):
         """A cache written by any backend replays on the reference path."""
         cache_dir = tmp_path / "shared-cache"
-        writer = make_runner(backend, tmp_path, cache_dir=cache_dir)
+        writer = make_runner(backend, cache_dir=cache_dir)
         try:
             first = writer.run_tasks(mixed_tasks())
         finally:
@@ -231,13 +223,11 @@ class TestBackendIdentity:
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            SweepRunner(max_workers=1, backend="carrier-pigeon")
-
-    def test_work_queue_requires_queue_dir(self):
-        with pytest.raises(ConfigurationError, match="queue"):
-            SweepRunner(max_workers=1, backend="work-queue")
+    @pytest.mark.parametrize("backend", ("carrier-pigeon", "work-queue"))
+    def test_unknown_backend_rejected(self, backend):
+        """A retired backend name is rejected like any unknown one."""
+        with pytest.raises(ConfigurationError, match="unknown sweep backend"):
+            SweepRunner(max_workers=1, backend=backend)
 
     def test_default_backend_tracks_worker_count(self):
         serial = SweepRunner(max_workers=1)
@@ -262,6 +252,13 @@ class TestBackendSelection:
         assert runner.backend == "in-process"
         runner.run_tasks(mixed_tasks()[:2])
         assert runner._pool is None
+
+    @pytest.mark.parametrize("value", ("four", "2.5"))
+    def test_from_env_rejects_bad_worker_count(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", value)
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", "off")
+        with pytest.raises(ConfigurationError, match="REPRO_SWEEP_WORKERS"):
+            SweepRunner.from_env()
 
     def test_from_env_multi_worker_selects_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")

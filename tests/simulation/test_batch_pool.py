@@ -18,13 +18,15 @@ from repro.simulation.batch import (
     StrategySpec,
     SweepRunner,
     SweepTask,
+    execute_task,
+)
+from repro.simulation.config import DataCenterConfig
+from repro.simulation.scheduler import (
     _ShippedTask,
     _execute_shipped,
     _init_worker,
     _trace_content_key,
-    execute_task,
 )
-from repro.simulation.config import DataCenterConfig
 from repro.workloads.traces import Trace
 
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=25)
