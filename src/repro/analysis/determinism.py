@@ -30,6 +30,9 @@ HOT_PATH_SUFFIXES = (
     # mid-run; any nondeterminism here would break the rollout
     # no-perturbation contract and the sweep cache.
     "repro/simulation/rollout.py",
+    # The one pruned descent behind the Oracle searches and MPC plans:
+    # its visiting order decides which candidates run at all.
+    "repro/simulation/descent.py",
     # Scheduling decides where a task runs, never what it computes, and
     # the packed tier must stay bit-identical to the scalar path — so
     # neither may consult a clock or entropy source.

@@ -577,14 +577,16 @@ def _oracle_point_search(
     trace: Trace,
     candidates: Sequence[float],
     config: DataCenterConfig,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> Optional[Tuple[float, float]]:
-    """One grid point's Oracle search: fast path first, reference fallback.
+    """One Oracle search: fast path first, reference fallback.
 
     The pruned shared-prefix search serves every search inside its
-    envelope (:func:`shared_prefix_envelope`); outside it each candidate
-    runs once on the span engine, bit-identically.  A one-point vector
-    batch is never formed here: a grid's candidates alone are far
-    narrower than :data:`~repro.simulation.packing.MIN_PACK_WIDTH` lanes.
+    envelope (:func:`shared_prefix_envelope`), with or without a fault
+    plan; outside it each candidate runs once on the span engine,
+    bit-identically.  A one-point vector batch is never formed here: a
+    search's candidates alone are far narrower than
+    :data:`~repro.simulation.packing.MIN_PACK_WIDTH` lanes.
 
     Returns ``(best_bound, best_performance)``, or ``None`` when every
     candidate's run failed (the caller owns the error message — the table
@@ -594,7 +596,9 @@ def _oracle_point_search(
     installed over ``execute_task``) apply to both paths identically.
     """
     try:
-        fast = shared_prefix_oracle_search(trace, candidates, config)
+        fast = shared_prefix_oracle_search(
+            trace, candidates, config, fault_plan=fault_plan
+        )
     except SimulationError:
         return None
     if fast is not None:
@@ -602,7 +606,9 @@ def _oracle_point_search(
     performances = [
         math.nan if outcome.failed else outcome.average_performance
         for outcome in (
-            execute_task(SweepTask(trace, StrategySpec.fixed(bound), config))
+            execute_task(
+                SweepTask(trace, StrategySpec.fixed(bound), config, fault_plan)
+            )
             for bound in candidates
         )
     ]
@@ -855,7 +861,7 @@ class SweepRunner:
         config: DataCenterConfig = DEFAULT_CONFIG,
         fault_plan: Optional[FaultPlan] = None,
     ) -> OracleStrategy:
-        """Exhaustive Oracle search (Section V-A), batched.
+        """Exhaustive Oracle search (Section V-A), cached as one entry.
 
         Ties break towards the earlier candidate — the strict first-wins
         argmax (:func:`~repro.core.strategies.first_wins_argmax`) keeps the
@@ -863,13 +869,14 @@ class SweepRunner:
         :func:`repro.core.strategies.oracle_search` — so the result is
         independent of worker count and of the compute path.
 
-        The search runs on the pruned shared-prefix fast path
+        The search is :func:`_oracle_point_search`: the pruned
+        shared-prefix fast path
         (:func:`repro.simulation.engine.shared_prefix_oracle_search`) when
-        the trace/config is inside its validity envelope, and on the
-        reference per-candidate sweep otherwise; both produce
-        bit-identical results.  With a cache directory, the whole search
-        caches as *one* entry (a warm search is one file read, one hit),
-        rather than one entry per candidate.
+        the trace/config is inside its validity envelope, one in-process
+        run per candidate otherwise; both produce bit-identical results.
+        With a cache directory, the whole search caches as *one* entry (a
+        warm search is one file read, one hit), rather than one entry per
+        candidate.
         """
         self._ensure_open()
         if not candidates:
@@ -879,26 +886,15 @@ class SweepRunner:
         if cached is not None:
             self.hits += 1
             return OracleStrategy(cached[0], achieved_performance=cached[1])
-        fast = shared_prefix_oracle_search(
-            trace, candidates, config, fault_plan=fault_plan
-        )
-        if fast is not None:
-            self.misses += 1
-            self._search_cache_store(key, fast[0], fast[1])
-            return OracleStrategy(fast[0], achieved_performance=fast[1])
-        performances = self.evaluate_upper_bounds(
-            trace, candidates, config, fault_plan
-        )
-        best = first_wins_argmax(performances)
-        if best is None:
+        found = _oracle_point_search(trace, candidates, config, fault_plan)
+        if found is None:
             raise SimulationError(
                 "oracle search failed: every candidate upper bound's run "
                 f"failed on trace {trace.name!r}"
             )
-        bound = float(candidates[best])
-        performance = performances[best]
-        self._search_cache_store(key, bound, performance)
-        return OracleStrategy(bound, achieved_performance=performance)
+        self.misses += 1
+        self._search_cache_store(key, found[0], found[1])
+        return OracleStrategy(found[0], achieved_performance=found[1])
 
     def build_upper_bound_table(
         self,

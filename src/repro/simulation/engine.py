@@ -19,16 +19,17 @@ from repro.core.strategies import (
     OracleStrategy,
     SprintingStrategy,
     UpperBoundTable,
-    first_wins_argmax,
 )
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
 from repro.simulation.datacenter import DataCenter, build_datacenter
+from repro.simulation.descent import descend
 from repro.simulation.faults import (
     FaultInjector,
     FaultPlan,
     FaultRecord,
     RECOVERABLE_FAULT_ERRORS,
+    effective_demand_series,
 )
 from repro.simulation.metrics import SimulationResult, average_performance_improvement
 from repro.simulation.rollout import bind_rollout_planner
@@ -93,7 +94,7 @@ def run_simulation(
     controller.strategy.reset()
     # MPC strategies plan by forking this very facility: attach the rollout
     # planner to the live (datacenter, controller) pair.  No-op otherwise.
-    bind_rollout_planner(strategy, datacenter, controller, trace)
+    bind_rollout_planner(strategy, datacenter, controller, trace, use_kernel)
 
     fault_events: list = []
     aborted_at_s: Optional[float] = None
@@ -353,10 +354,10 @@ def oracle_for_trace(
     Parameters
     ----------
     runner:
-        Optional :class:`~repro.simulation.batch.SweepRunner` to fan the
-        candidate evaluations out over worker processes and/or the result
-        cache; the default is a serial, cache-less runner whose output is
-        bit-identical to the historical in-process loop.
+        Optional :class:`~repro.simulation.batch.SweepRunner` whose store
+        caches the whole search as one entry; the default is a serial,
+        cache-less runner.  The search itself always runs in-process,
+        bit-identical to the historical loop.
     fault_plan:
         Optional fault plan the Oracle must plan around: every candidate
         is evaluated under the same injected faults.
@@ -422,16 +423,11 @@ def build_upper_bound_table(
 #
 # Most suffixes need not run at all.  A bound caps the capacity a run can
 # reach, so :func:`optimistic_performance` bounds its performance from
-# above; suffixes are resumed in descending order of effective bound and
-# the descent stops at the first one whose bound cannot beat the best
-# performance found so far.
-
-#: Relative slack on the optimistic bound before a candidate is pruned.
-#: The bound and a measured performance run the same reduction over
-#: elementwise-ordered served series, so they are ordered exactly; the
-#: margin only absorbs last-ulp differences between the capacity the
-#: bound takes and the one the step body computes.
-_PRUNE_MARGIN = 1.0 + 1e-9
+# above, with or without a fault plan (taken over the effective demand
+# under one).  The suffixes go through the one pruned descent,
+# :func:`repro.simulation.descent.descend`: highest effective bound
+# first, stopping at the first candidate whose bound (times the
+# descent's ``_PRUNE_MARGIN``) cannot beat the best performance so far.
 
 
 def _coast_safe(datacenter: DataCenter) -> bool:
@@ -483,7 +479,10 @@ def shared_prefix_envelope(
 
 
 def optimistic_performance(
-    cluster: "ServerCluster", trace: Trace, bound: float
+    cluster: "ServerCluster",
+    trace: Trace,
+    bound: float,
+    demand: Optional[np.ndarray] = None,
 ) -> float:
     """Upper bound on the performance of any run capped at ``bound``.
 
@@ -492,12 +491,16 @@ def optimistic_performance(
     value is :func:`average_performance_improvement` of that series, the
     same reduction the measured performance takes, so a measured
     performance can be compared with it directly.
+
+    ``demand`` is the series the controller saw when it differs from the
+    trace's samples: under a fault plan, the effective demand
+    (:func:`~repro.simulation.faults.effective_demand_series`).  The
+    value is still normalised against ``trace``, like the measured one.
     """
     effective = min(float(bound), cluster.throughput.max_degree)
     capacity = cluster.capacity_at_degree(effective)
-    return average_performance_improvement(
-        np.minimum(trace.samples, capacity), trace
-    )
+    seen = trace.samples if demand is None else demand
+    return average_performance_improvement(np.minimum(seen, capacity), trace)
 
 
 def _divergence_step(
@@ -540,8 +543,9 @@ def shared_prefix_oracle_search(
     budgets) is re-simulated with real physics before the result is
     accepted, and demoted to failed if the tail raises.  Raises
     :class:`~repro.errors.SimulationError` when every candidate fails.
-    Without a fault plan, candidates whose :func:`optimistic_performance`
-    cannot beat the best run found so far are never simulated.
+    With or without a fault plan, candidates whose
+    :func:`optimistic_performance` cannot beat the best run found so far
+    are never simulated.
     """
     if abs(trace.dt_s - config.dt_s) > 1e-9:
         return None  # reference path raises the descriptive ConfigurationError
@@ -562,6 +566,35 @@ def _effective_bounds(
     eff_base = max(eff)
     base_bound = float(candidates[eff.index(eff_base)])
     return eff, base_bound, eff_base
+
+
+def _frontiers(
+    cluster: "ServerCluster",
+    demand: Sequence[float],
+    eff: Sequence[float],
+    eff_base: float,
+    first: int,
+) -> Tuple[List[Optional[int]], List[int]]:
+    """Each candidate's divergence frontier, and the distinct frontiers.
+
+    ``demand`` is what the controller sees from sample ``first`` on.
+    """
+    needed = [cluster.degree_for_demand(d) for d in demand]
+    frontier_of = [_divergence_step(needed, e, eff_base, first) for e in eff]
+    return frontier_of, sorted({k for k in frontier_of if k is not None})
+
+
+def _spliced_performance(
+    trace: Trace,
+    base_served: np.ndarray,
+    frontier: int,
+    controller: "SprintingController",
+) -> float:
+    """Performance of the baseline's run with a suffix resumed at ``frontier``."""
+    suffix = controller.history.column("served")
+    served = base_served.copy()
+    served[frontier : frontier + suffix.size] = suffix
+    return average_performance_improvement(served, trace)
 
 
 def _fresh_run(
@@ -616,6 +649,15 @@ def _shared_prefix_no_faults(
     trace: Trace,
     candidates: Sequence[float],
 ) -> Tuple[float, float]:
+    """Fault-free search: the baseline coasts to burst onset and runs its
+    burst window; each candidate's suffix ends at the last burst sample.
+
+    The truncation at the last burst sample hides post-burst failures
+    (battery recharge against live breaker budgets), so the descent
+    verifies the provisional winner by re-running its tail with real
+    physics; a tail that raises demotes it to failed — exactly the
+    reference path's NaN for that candidate.
+    """
     samples = trace.samples
     n = int(samples.size)
     mask = samples > 1.0
@@ -629,14 +671,9 @@ def _shared_prefix_no_faults(
 
     cluster = datacenter.cluster
     eff, base_bound, eff_base = _effective_bounds(datacenter, candidates)
-    needed = [
-        cluster.degree_for_demand(float(samples[i]))
-        for i in range(first, last + 1)
-    ]
-    frontier_of = [
-        _divergence_step(needed, e, eff_base, first) for e in eff
-    ]
-    frontiers = sorted({k for k in frontier_of if k is not None})
+    frontier_of, frontiers = _frontiers(
+        cluster, samples[first : last + 1].tolist(), eff, eff_base, first
+    )
 
     # Instrumented baseline: the largest candidate, from burst onset on a
     # fresh facility (valid by _coast_safe), run as segments cut at the
@@ -655,73 +692,52 @@ def _shared_prefix_no_faults(
     base_served = np.zeros(n)
     base_rows = controller.history.column("served")
     base_served[first : first + base_rows.size] = base_rows
-    base_end: Optional[FacilityState] = None
-    base_perf = math.nan
-    if base_failed_at is None:
-        base_end = FacilityState.capture(datacenter, controller)
-        base_perf = average_performance_improvement(base_served, trace)
 
     # Candidates sharing the baseline's entire run take its result (its
     # failure included); a frontier past the baseline's failing step means
     # an identical prefix through that step, so that candidate fails too.
-    # Everyone else resumes a suffix, highest effective bound first.
-    performances = [math.nan] * len(candidates)
-    end_states: List[Optional[FacilityState]] = [None] * len(candidates)
-    descent: List[int] = []
-    for idx, frontier in enumerate(frontier_of):
-        if frontier is None:
-            performances[idx] = base_perf
-            end_states[idx] = base_end
-        elif base_failed_at is None or frontier <= base_failed_at:
-            descent.append(idx)
-    descent.sort(key=lambda idx: -eff[idx])
+    # Everyone else resumes a suffix in the descent.
+    end_states: Dict[int, FacilityState] = {}
+    prefilled: Dict[int, float] = {}
+    if base_failed_at is None:
+        base_end = FacilityState.capture(datacenter, controller)
+        base_perf = average_performance_improvement(base_served, trace)
+        for idx, frontier in enumerate(frontier_of):
+            if frontier is None:
+                prefilled[idx] = base_perf
+                end_states[idx] = base_end
+    else:
+        for idx, frontier in enumerate(frontier_of):
+            if frontier is None or frontier > base_failed_at:
+                prefilled[idx] = math.nan
 
-    # Pruned descent plus verified-winner loop.  The descent stops at the
-    # first candidate whose optimistic performance cannot beat the best
-    # found so far; optimistic performance falls with the effective bound,
-    # so every later candidate is pruned too.  The truncation at the last
-    # burst sample hides post-burst failures (battery recharge against
-    # live breaker budgets), so the provisional winner's tail is re-run
-    # with real physics and the candidate demoted to failed if it raises —
-    # exactly the reference path's NaN for that candidate — after which
-    # the descent resumes where it stopped against the lower best.
-    pos = 0
-    while True:
-        best = first_wins_argmax(performances)
-        while pos < len(descent):
-            idx = descent[pos]
-            if best is not None and (
-                optimistic_performance(cluster, trace, eff[idx]) * _PRUNE_MARGIN
-                < performances[best]
-            ):
-                break
-            pos += 1
-            frontier = frontier_of[idx]
-            assert frontier is not None  # shared runs never enter the descent
-            controller = _resumed_run(
-                datacenter, float(candidates[idx]), snapshots[frontier]
-            )
-            if _run_segment(controller, trace, frontier, last + 1) is not None:
-                continue
-            served = np.zeros(n)
-            served[first:frontier] = base_served[first:frontier]
-            served[frontier : last + 1] = controller.history.column("served")
-            performances[idx] = average_performance_improvement(served, trace)
-            end_states[idx] = FacilityState.capture(datacenter, controller)
-            best = first_wins_argmax(performances)
-        if best is None:
-            raise SimulationError(
-                "oracle search failed: every candidate upper bound's run "
-                f"failed on trace {trace.name!r}"
-            )
-        if last + 1 < n:
-            state = end_states[best]
-            assert state is not None  # finite performance implies a captured end
-            controller = _resumed_run(datacenter, float(candidates[best]), state)
-            if _run_segment(controller, trace, last + 1, n) is not None:
-                performances[best] = math.nan
-                continue
-        return float(candidates[best]), performances[best]
+    def run(idx: int) -> float:
+        frontier = frontier_of[idx]
+        assert frontier is not None  # shared runs are prefilled
+        resumed = _resumed_run(
+            datacenter, float(candidates[idx]), snapshots[frontier]
+        )
+        if _run_segment(resumed, trace, frontier, last + 1) is not None:
+            return math.nan
+        end_states[idx] = FacilityState.capture(datacenter, resumed)
+        return _spliced_performance(trace, base_served, frontier, resumed)
+
+    def optimistic(idx: int) -> float:
+        return optimistic_performance(cluster, trace, eff[idx])
+
+    def tail_holds(idx: int) -> bool:
+        if last + 1 == n:
+            return True
+        resumed = _resumed_run(datacenter, float(candidates[idx]), end_states[idx])
+        return _run_segment(resumed, trace, last + 1, n) is None
+
+    found = descend(eff, run, optimistic, prefilled, tail_holds)
+    if found.best is None:
+        raise SimulationError(
+            "oracle search failed: every candidate upper bound's run "
+            f"failed on trace {trace.name!r}"
+        )
+    return float(candidates[found.best]), found.scores[found.best]
 
 
 def _shared_prefix_with_faults(
@@ -730,11 +746,27 @@ def _shared_prefix_with_faults(
     candidates: Sequence[float],
     fault_plan: FaultPlan,
 ) -> Tuple[float, float]:
-    """Fault-plan variant: no coast (faults can mutate the quiescent prefix),
-    needed degrees taken from the effective demand the baseline logged
-    (trace gaps hold the last good demand), and no failure bookkeeping —
-    recoverable errors degrade the run instead of killing it, so every
-    candidate finishes.
+    """Fault-plan search: one baseline pass from sample 0, pruned suffixes.
+
+    It differs from the fault-free search in three ways.  There is no
+    coast: faults can mutate the quiescent prefix.  Needed degrees come
+    from the effective demand
+    (:func:`~repro.simulation.faults.effective_demand_series`, trace gaps
+    holding the last good sample), which depends only on the trace and
+    the plan, so the frontiers are known up front and the baseline runs
+    once, cut at them, capturing snapshot and injector at each cut.  And
+    there is no failure bookkeeping: recoverable errors degrade a run
+    instead of killing it, so every candidate finishes.  A degraded step
+    ignores the bound, so a candidate whose frontier is at or past the
+    baseline's ``bound_until`` shares the baseline's result.
+
+    The descent prunes with :func:`optimistic_performance` over the
+    effective demand.  That bound holds on every sample: a healthy step
+    serves at most ``min(effective, capacity(b))`` because its degree
+    never exceeds the effective bound ``b``; a degraded step serves at
+    most the surviving share of ``capacity(1.0)``, and ``capacity(1.0)``
+    is at most ``capacity(b)`` because the envelope keeps every candidate
+    at or above 1.0.
     """
     samples = trace.samples
     n = int(samples.size)
@@ -742,64 +774,55 @@ def _shared_prefix_with_faults(
     if not bool(mask.any()):
         return float(candidates[0]), 1.0
     last = n - 1 - int(np.argmax(mask[::-1]))
+    cluster = datacenter.cluster
     eff, base_bound, eff_base = _effective_bounds(datacenter, candidates)
+    demand = effective_demand_series(fault_plan, trace)
+    frontier_of, frontiers = _frontiers(
+        cluster, demand[: last + 1].tolist(), eff, eff_base, 0
+    )
 
-    # Pass 1 — instrumented baseline over [0..last]: the needed degree of
-    # every sample whose step the bound took part in (the only samples
-    # where a bound can bind; degraded samples ignore bounds).
+    # The baseline over [0..last], cut at the frontiers.  bound_until is
+    # one past the last sample whose step the bound took part in; a cut
+    # reached after the baseline degraded lies at or past it, so no
+    # candidate resumes there and it takes no snapshot.
     controller = _fresh_run(datacenter, base_bound)
     injector = FaultInjector(fault_plan, datacenter)
-    try:
-        _, bound_until = _run_faulted_segments(
-            controller, injector, trace, 0, last + 1
-        )
-    finally:
-        # reset() only restores state; rating/capacity mutations must be
-        # undone here or pass 2 would start on a pre-degraded substrate.
-        injector.restore_substrate()
+    snapshots: Dict[int, FacilityState] = {}
+    bound_until = 0
+    cut = 0
+    for stop in frontiers + [last + 1]:
+        healthy = not controller.degraded
+        _, reached = _run_faulted_segments(controller, injector, trace, cut, stop)
+        if healthy:
+            bound_until = reached
+        if stop <= last and not controller.degraded:
+            snapshots[stop] = FacilityState.capture(
+                datacenter, controller, injector=injector
+            )
+        cut = stop
     base_served = np.zeros(n)
     base_served[: last + 1] = controller.history.column("served")
     base_perf = average_performance_improvement(base_served, trace)
-    cluster = datacenter.cluster
-    needed = [
-        cluster.degree_for_demand(d)
-        for d in controller.history.column("demand")[:bound_until].tolist()
-    ]
-    needed += [-math.inf] * (last + 1 - bound_until)
+    prefilled = {
+        idx: base_perf
+        for idx, frontier in enumerate(frontier_of)
+        if frontier is None or frontier >= bound_until
+    }
 
-    frontier_of = [_divergence_step(needed, e, eff_base, 0) for e in eff]
-    frontiers = sorted({k for k in frontier_of if k is not None})
-
-    # Pass 2 — deterministic re-run of the baseline up to the deepest
-    # frontier, capturing a snapshot (injector included) at each cut.
-    snapshots: Dict[int, FacilityState] = {}
-    if frontiers:
-        controller = _fresh_run(datacenter, base_bound)
-        injector = FaultInjector(fault_plan, datacenter)
-        cut = 0
-        for frontier in frontiers:
-            _run_faulted_segments(controller, injector, trace, cut, frontier)
-            snapshots[frontier] = FacilityState.capture(
-                datacenter, controller, injector=injector
-            )
-            cut = frontier
-
-    performances = [math.nan] * len(candidates)
-    for idx, bound in enumerate(candidates):
+    def run(idx: int) -> float:
         frontier = frontier_of[idx]
-        if frontier is None:
-            performances[idx] = base_perf
-            continue
-        injector = FaultInjector(fault_plan, datacenter)
-        controller = _resumed_run(
-            datacenter, float(bound), snapshots[frontier], injector
+        assert frontier is not None  # shared runs are prefilled
+        resumed_injector = FaultInjector(fault_plan, datacenter)
+        resumed = _resumed_run(
+            datacenter, float(candidates[idx]), snapshots[frontier],
+            resumed_injector,
         )
-        _run_faulted_segments(controller, injector, trace, frontier, last + 1)
-        served = np.zeros(n)
-        served[:frontier] = base_served[:frontier]
-        served[frontier : last + 1] = controller.history.column("served")
-        performances[idx] = average_performance_improvement(served, trace)
+        _run_faulted_segments(resumed, resumed_injector, trace, frontier, last + 1)
+        return _spliced_performance(trace, base_served, frontier, resumed)
 
-    best = first_wins_argmax(performances)
-    assert best is not None  # degraded runs complete, so none is NaN
-    return float(candidates[best]), performances[best]
+    def optimistic(idx: int) -> float:
+        return optimistic_performance(cluster, trace, eff[idx], demand)
+
+    found = descend(eff, run, optimistic, prefilled)
+    assert found.best is not None  # degraded runs complete, so none is NaN
+    return float(candidates[found.best]), found.scores[found.best]

@@ -50,7 +50,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
+
+import numpy as np
 
 from repro.errors import (
     BatteryDepletedError,
@@ -67,6 +70,7 @@ if TYPE_CHECKING:
     from repro.power.breaker import CircuitBreaker
     from repro.power.ups import UpsBattery
     from repro.simulation.datacenter import DataCenter
+    from repro.workloads.traces import Trace
 
 #: Substrate exceptions the engine may recover from under a fault plan.
 #: ConfigurationError is deliberately absent: a bad configuration is a
@@ -615,3 +619,28 @@ class FaultInjector:
             f"telemetry gap from {time_s:g} s to {span}: holding the last "
             "good demand sample"
         )
+
+
+def effective_demand_series(plan: FaultPlan, trace: "Trace") -> np.ndarray:
+    """The demand a faulted run's controller sees, sample by sample.
+
+    Telemetry gaps hold the last good sample
+    (:meth:`FaultInjector.effective_demand`); a gap opens at the first
+    sample whose time reaches its event, as :meth:`FaultInjector.apply_due`
+    fires it, so the series depends on the plan and the trace only, never
+    on the facility or the strategy.  It is computed by replaying the
+    plan's gap events through a gap-only injector, the same calls the
+    engine makes per sample, so it equals the ``demand`` column every run
+    under ``plan`` logs.
+    """
+    gaps = FaultPlan(tuple(e for e in plan if e.kind == "trace_gap"))
+    if not gaps:
+        return np.array(trace.samples, dtype=float)
+    # Gap events never touch the substrate, so this injector needs none.
+    injector = FaultInjector(gaps, cast("DataCenter", None))
+    dt = trace.dt_s
+    effective = []
+    for m, demand in enumerate(trace.samples.tolist()):
+        injector.apply_due(m * dt)
+        effective.append(injector.effective_demand(demand, m * dt))
+    return np.asarray(effective, dtype=float)

@@ -2,7 +2,7 @@
 
 PR 5's :class:`~repro.simulation.snapshot.FacilityState` makes the Oracle's
 hindsight cheap to *simulate forward*: at burst onset the live facility is
-captured, each candidate upper bound is rolled out over a short horizon on
+captured, candidate upper bounds are rolled out over a short horizon on
 the same substrate, and the live state is restored bit-for-bit before the
 in-flight control period continues.  The capture happens *inside*
 ``degree_upper_bound`` — after the burst detector has observed the current
@@ -24,6 +24,16 @@ horizon covering the remaining trace the committed bound coincides with
 (``tests/simulation/test_mpc_rollout.py`` pins this equivalence and the
 bit-identity of the live run).
 
+Not every candidate is rolled out.  A bound caps the capacity a rollout
+can reach, so :func:`optimistic_score` — the work of serving
+``min(demand, capacity(bound))`` on every forecast sample — is an upper
+bound on its score, and the plan goes through the same pruned descent as
+the Oracle search (:func:`~repro.simulation.descent.descend`): highest
+bound first, stopping at the first candidate that cannot beat the best
+score so far.  A pruned candidate scores strictly below the committed
+one, so pruning never changes the plan.  Reference runs
+(``use_kernel=False``) roll out every candidate, unpruned — the spec.
+
 Fault awareness is deliberately myopic: rollouts simulate the *current*
 substrate (including any rating derates already injected) but cannot
 foresee future fault events.  When every candidate fails even over the
@@ -39,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +61,14 @@ from repro.core.strategies import (
     first_wins_argmax,
 )
 from repro.errors import ConfigurationError, ReproError
+from repro.simulation.descent import descend
 from repro.simulation.snapshot import FacilityState
 from repro.units import require_non_negative
 from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:
     from repro.core.controller import SprintingController
+    from repro.servers.cluster import ServerCluster
     from repro.simulation.datacenter import DataCenter
 
 #: Bound the planner commits when every candidate rollout fails: the
@@ -173,6 +185,11 @@ class RolloutPlanner:
     inside the MPC strategy's ``degree_upper_bound`` and must leave the
     live facility bit-for-bit unchanged — the rollout-differential suite
     holds it to that.
+
+    With ``use_kernel`` (the default) rollouts are span-engine segments
+    and go through the pruned descent (:func:`~repro.simulation.descent.descend`);
+    ``use_kernel=False`` rolls out every candidate, unpruned, on reference
+    controllers — the spec the pruned plan must match.
     """
 
     def __init__(
@@ -181,27 +198,34 @@ class RolloutPlanner:
         controller: "SprintingController",
         strategy: MPCStrategy,
         forecast: ForecastProvider,
+        use_kernel: bool = True,
     ) -> None:
         self._datacenter = datacenter
         self._controller = controller
         self._strategy = strategy
         self._forecast = forecast
+        self._use_kernel = use_kernel
         self._dt_s = float(datacenter.config.dt_s)
         #: Number of planning invocations this run (telemetry).
         self.plans = 0
-        #: ``(bound, score)`` pairs from the most recent plan, in
-        #: candidate order.  A failed rollout scores NaN, so pick the
-        #: committed bound with :func:`first_wins_argmax`, not ``max``
-        #: (whose result over NaN depends on element order).
+        #: Candidate rollouts simulated, and pruned unsimulated, this run.
+        #: Every plan adds ``len(candidate_bounds)`` to their sum.
+        self.rollouts = 0
+        self.pruned = 0
+        #: ``(bound, score)`` pairs of the candidates the most recent plan
+        #: simulated, in candidate order (pruned candidates are absent).
+        #: A failed rollout scores NaN, so pick the committed bound with
+        #: :func:`first_wins_argmax`, not ``max`` (whose result over NaN
+        #: depends on element order).
         self.last_scores: Tuple[Tuple[float, float], ...] = ()
 
     def plan(self, obs: StrategyObservation) -> float:
-        """Score every candidate from the captured live state; commit argmax.
+        """Score candidates from the captured live state; commit the argmax.
 
         The live state (including the MPC strategy's own plan state) is
-        captured once, each candidate restores a surrogate copy with
-        ``strategy_state=None`` onto a fresh fixed-bound controller, and
-        the original state is restored onto the live controller before
+        captured once, each simulated candidate restores a surrogate copy
+        with ``strategy_state=None`` onto a fresh fixed-bound controller,
+        and the original state is restored onto the live controller before
         returning — whatever the rollouts did to the shared substrate.
         """
         dt = self._dt_s
@@ -219,16 +243,32 @@ class RolloutPlanner:
         live = FacilityState.capture(self._datacenter, self._controller)
         surrogate = dataclasses.replace(live, strategy_state=None)
         bounds = self._strategy.candidate_bounds
+        cluster = self._datacenter.cluster
+
+        def run(idx: int) -> float:
+            return self._rollout_score(
+                surrogate, bounds[idx], demands, obs.step_index
+            )
+
+        def optimistic(idx: int) -> float:
+            return optimistic_score(cluster, bounds[idx], demands, dt)
+
         try:
-            scores = [
-                self._rollout_score(surrogate, bound, demands, obs.step_index)
-                for bound in bounds
-            ]
+            if self._use_kernel:
+                max_degree = cluster.throughput.max_degree
+                eff = [min(float(b), max_degree) for b in bounds]
+                found = descend(eff, run, optimistic)
+                best, scores, simulated = found.best, found.scores, found.simulated
+            else:
+                scores = tuple(run(idx) for idx in range(len(bounds)))
+                best = first_wins_argmax(scores)
+                simulated = tuple(range(len(bounds)))
         finally:
             live.restore(self._datacenter, self._controller)
         self.plans += 1
-        self.last_scores = tuple(zip(bounds, scores))
-        best = first_wins_argmax(scores)
+        self.rollouts += len(simulated)
+        self.pruned += len(bounds) - len(simulated)
+        self.last_scores = tuple((bounds[i], scores[i]) for i in simulated)
         if best is None:
             return FALLBACK_BOUND
         return bounds[best]
@@ -242,18 +282,19 @@ class RolloutPlanner:
     ) -> float:
         """One candidate's forward run: served work minus violation penalty.
 
-        The horizon runs as one span-engine segment starting at the live
-        step index, so step ``start_index + j`` is timed ``(start_index +
-        j) * dt`` exactly as the live run times it.
+        The horizon runs as one segment starting at the live step index,
+        so step ``start_index + j`` is timed ``(start_index + j) * dt``
+        exactly as the live run times it.
         """
-        controller = self._datacenter.controller(FixedUpperBoundStrategy(bound))
+        controller = self._datacenter.controller(
+            FixedUpperBoundStrategy(bound), use_kernel=self._use_kernel
+        )
         controller.strategy.reset()
         surrogate.restore(self._datacenter, controller)
         events_before = len(controller.safety.events)
-        dt = self._dt_s
         try:
             controller.run_trace(
-                Trace(np.asarray(demands), dt_s=dt, name="rollout"),
+                Trace(np.asarray(demands), dt_s=self._dt_s, name="rollout"),
                 start_index=start_index,
             )
         except ConfigurationError:
@@ -262,11 +303,40 @@ class RolloutPlanner:
             # The candidate's future fails outright — excluded, exactly
             # as the Oracle search excludes failed candidates.
             return math.nan
-        work = 0.0
-        for served in controller.history.column("served").tolist():
-            work += served * dt
+        work = _work(controller.history.column("served").tolist(), self._dt_s)
         violations = len(controller.safety.events) - events_before
         return work - self._strategy.violation_penalty_s * float(violations)
+
+
+def optimistic_score(
+    cluster: "ServerCluster",
+    bound: float,
+    demands: Sequence[float],
+    dt: float,
+) -> float:
+    """Upper bound on the score of any rollout capped at ``bound``.
+
+    A rollout's realised degree never exceeds ``min(bound, max_degree)``,
+    so each step serves at most ``min(demand, capacity)`` at that degree,
+    and the violation penalty is never negative.  Both sums run through
+    :func:`_work`, left to right, so the score can be compared with this
+    value directly.
+    """
+    effective = min(float(bound), cluster.throughput.max_degree)
+    capacity = cluster.capacity_at_degree(effective)
+    return _work([min(d, capacity) for d in demands], dt)
+
+
+def _work(served: Sequence[float], dt: float) -> float:
+    """Served-demand integral, summed left to right.
+
+    A rollout's score and its optimistic score both sum through here, so
+    an elementwise-larger series always integrates to at least as much.
+    """
+    work = 0.0
+    for value in served:
+        work += value * dt
+    return work
 
 
 def build_forecast(strategy: MPCStrategy, trace: Trace) -> ForecastProvider:
@@ -285,19 +355,25 @@ def bind_rollout_planner(
     datacenter: "DataCenter",
     controller: "SprintingController",
     trace: Trace,
+    use_kernel: bool = True,
 ) -> Optional[RolloutPlanner]:
     """Attach a rollout planner to an MPC strategy; no-op otherwise.
 
     Called by the simulation entry points right after the controller is
     built: re-binding on every run keeps the planner pointed at the live
     ``(datacenter, controller)`` pair even when a strategy object is
-    reused across runs.  Returns the planner for telemetry, or ``None``
-    for non-MPC strategies.
+    reused across runs.  ``use_kernel`` is the run's own switch, so a
+    reference run rolls out on reference controllers too.  Returns the
+    planner for telemetry, or ``None`` for non-MPC strategies.
     """
     if not isinstance(strategy, MPCStrategy):
         return None
     planner = RolloutPlanner(
-        datacenter, controller, strategy, build_forecast(strategy, trace)
+        datacenter,
+        controller,
+        strategy,
+        build_forecast(strategy, trace),
+        use_kernel=use_kernel,
     )
     strategy.bind_planner(planner.plan)
     return planner

@@ -14,12 +14,10 @@ violation counts, telemetry columns, and the failure-latching semantics
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.core.strategies import FixedUpperBoundStrategy, MPCStrategy
+from repro.core.strategies import FixedUpperBoundStrategy
 from repro.core.vector_kernel import (
     FAIL_DC,
     FAIL_TANK,
@@ -43,7 +41,7 @@ from repro.simulation.batch_facility import (
 )
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
-from repro.simulation.engine import run_simulation, simulate_strategy
+from repro.simulation.engine import run_simulation
 from repro.workloads.traces import Trace
 
 #: Small facility: same per-server ratios as the paper config, cheap to run.
@@ -402,33 +400,3 @@ class TestOracleEquivalence:
         finally:
             datacenter.topology.dc_breaker.rated_power_w = original
 
-
-class TestMPCRolloutVector:
-    def test_scores_are_finite_floats(self):
-        scores = []
-        import repro.simulation.rollout as rollout_mod
-
-        original_plan = rollout_mod.RolloutPlanner.plan
-
-        def plan(planner, obs):
-            bound = original_plan(planner, obs)
-            scores.extend(score for _, score in planner.last_scores)
-            return bound
-
-        rollout_mod.RolloutPlanner.plan = plan
-        try:
-            simulate_strategy(
-                random_trace(14),
-                MPCStrategy(
-                    candidate_bounds=(2.0, 3.0),
-                    horizon_s=60.0,
-                    replan_interval_s=30.0,
-                ),
-                SMALL,
-            )
-        finally:
-            rollout_mod.RolloutPlanner.plan = original_plan
-        assert scores
-        for score in scores:
-            assert isinstance(score, float)
-            assert math.isfinite(score)

@@ -59,6 +59,8 @@ from repro.simulation.snapshot import FacilityState
 from repro.workloads.traces import Trace
 from repro.workloads.yahoo_trace import generate_yahoo_trace
 
+from tests.core.test_kernel_differential import random_trace
+
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=50)
 
 #: The Fig. 9 candidate grid; small enough to keep full-horizon rollouts
@@ -130,7 +132,7 @@ def _mpc(**overrides) -> MPCStrategy:
 
 class TestNoPerturbation:
     def test_plan_leaves_live_state_bit_identical(self, yahoo15):
-        """capture → plan (5 candidate rollouts) → capture compares equal."""
+        """capture → plan (up to 5 candidate rollouts) → capture compares equal."""
         dc = build_datacenter(SMALL)
         strategy = _mpc()
         controller = dc.controller(strategy)
@@ -140,6 +142,7 @@ class TestNoPerturbation:
             controller.step(float(yahoo15.samples[i]), float(i))
         before = FacilityState.capture(dc, controller)
         plans_before = planner.plans  # burst onset already planned once
+        rollouts_before = planner.rollouts
         obs = StrategyObservation(
             time_s=450.0,
             demand=float(yahoo15.samples[450]),
@@ -152,7 +155,10 @@ class TestNoPerturbation:
         planner.plan(obs)
         assert FacilityState.capture(dc, controller) == before
         assert planner.plans == plans_before + 1
-        assert len(planner.last_scores) == len(CANDIDATES)
+        # last_scores holds the simulated candidates, in candidate order.
+        simulated = [bound for bound, _ in planner.last_scores]
+        assert simulated == [b for b in CANDIDATES if b in simulated]
+        assert len(simulated) == planner.rollouts - rollouts_before > 0
 
     def test_mpc_run_equals_committed_schedule_replay(self, yahoo15):
         """The differential control run: replaying the per-step bounds the
@@ -328,7 +334,8 @@ class TestPlanningBehaviour:
         assert strategy.plan_log
         bounds = [b for b, _ in planner.last_scores]
         scores = [s for _, s in planner.last_scores]
-        assert bounds == list(CANDIDATES)
+        # Pruned candidates are absent; the rest keep candidate order.
+        assert bounds == [b for b in CANDIDATES if b in bounds]
         committed = strategy.plan_log[-1][1]
         # Strict first-wins: the committed bound is the *first* maximum,
         # failed (NaN) rollouts excluded.
@@ -347,28 +354,25 @@ class TestPlanningBehaviour:
 
 
 class TestSegmentRollouts:
-    """Each candidate's rollout is one span-engine segment; per-sample
-    reference controllers (``use_kernel=False``) are the spec."""
+    """Each simulated candidate's rollout is one span-engine segment, and
+    the kernel path prunes candidates that cannot win.  A
+    ``use_kernel=False`` run is the spec: it rolls out every candidate,
+    unpruned, on per-sample reference controllers."""
 
     @staticmethod
     def _mpc_run(monkeypatch, use_kernel):
-        """An MPC run whose live controller and rollouts use ``use_kernel``,
-        plus the scores of every plan it made."""
-        scores = []
+        """An MPC run on the ``use_kernel`` switch, plus every plan it made
+        as ``(committed bound, last_scores)``."""
+        plans = []
         plan = RolloutPlanner.plan
-        controller = DataCenter.controller
 
         def recording_plan(planner, obs):
             bound = plan(planner, obs)
-            scores.append(planner.last_scores)
+            plans.append((bound, planner.last_scores))
             return bound
-
-        def forced_controller(self, strategy, *_args, **_kwargs):
-            return controller(self, strategy, use_kernel=use_kernel)
 
         with monkeypatch.context() as patch:
             patch.setattr(RolloutPlanner, "plan", recording_plan)
-            patch.setattr(DataCenter, "controller", forced_controller)
             result = simulate_strategy(
                 burst_trace(level=3.2, burst_s=300, total_s=600),
                 _mpc(
@@ -377,27 +381,56 @@ class TestSegmentRollouts:
                     replan_interval_s=60.0,
                 ),
                 SMALL,
+                use_kernel=use_kernel,
             )
-        return result, scores
+        return result, plans
 
     def test_run_identical_to_reference_rollouts(self, monkeypatch):
-        """A full MPC run is bit-identical with segment rollouts and with
-        per-sample reference rollouts."""
+        """A full MPC run is bit-identical with pruned segment rollouts and
+        with unpruned per-sample reference rollouts."""
         fast, _ = self._mpc_run(monkeypatch, use_kernel=True)
         ref, _ = self._mpc_run(monkeypatch, use_kernel=False)
         assert_steps_identical(fast.steps, ref.steps)
         assert fast.average_performance == ref.average_performance
 
     def test_scores_match_reference_rollouts(self, monkeypatch):
-        """Per-candidate scores agree exactly, plan by plan."""
+        """Plan by plan, every score of the pruned plan equals the
+        reference plan's score for that bound, and both commit the same
+        bound."""
         _, fast = self._mpc_run(monkeypatch, use_kernel=True)
         _, ref = self._mpc_run(monkeypatch, use_kernel=False)
         assert len(fast) == len(ref) > 1
-        assert fast == ref
+        for (bound, scores), (ref_bound, ref_scores) in zip(fast, ref):
+            assert [b for b, _ in ref_scores] == [2.0, 3.0, 4.0]
+            reference = dict(ref_scores)
+            for candidate, score in scores:
+                expected = reference[candidate]
+                assert score == expected or (
+                    math.isnan(score) and math.isnan(expected)
+                )
+            assert bound == ref_bound
+
+    def test_reference_run_builds_no_kernel_controller(self, monkeypatch):
+        """``use_kernel=False`` reaches the rollouts: a default-MPC
+        reference run builds every controller, live and rollout, on the
+        reference step."""
+        built = []
+        controller = DataCenter.controller
+
+        def spy(self, strategy, use_kernel=True):
+            built.append(use_kernel)
+            return controller(self, strategy, use_kernel=use_kernel)
+
+        monkeypatch.setattr(DataCenter, "controller", spy)
+        strategy = MPCStrategy()
+        simulate_strategy(burst_trace(), strategy, SMALL, use_kernel=False)
+        assert strategy.plan_log
+        assert len(built) == 1 + len(DEFAULT_MPC_CANDIDATES)
+        assert not any(built)
 
     def test_one_segment_per_candidate(self, yahoo15, controller_calls):
-        """One plan makes exactly one run_trace call per candidate bound
-        and no per-sample step."""
+        """One plan makes exactly one run_trace call per simulated
+        candidate bound and no per-sample step."""
         dc = build_datacenter(SMALL)
         strategy = _mpc()
         controller = dc.controller(strategy)
@@ -405,6 +438,7 @@ class TestSegmentRollouts:
         assert planner is not None
         controller.run_trace(Trace(yahoo15.samples[:450], 1.0))
         controller_calls.update(step=0, run_trace=0)
+        rollouts = planner.rollouts
         obs = StrategyObservation(
             time_s=450.0,
             demand=float(yahoo15.samples[450]),
@@ -415,7 +449,32 @@ class TestSegmentRollouts:
             step_index=450,
         )
         planner.plan(obs)
-        assert controller_calls == {"step": 0, "run_trace": len(CANDIDATES)}
+        simulated = planner.rollouts - rollouts
+        assert len(planner.last_scores) == simulated
+        assert controller_calls == {"step": 0, "run_trace": simulated}
+
+    def test_default_plan_prunes(self, yahoo15, controller_calls):
+        """The default MPC plans once on the 15-minute Yahoo burst, and
+        the run is one live segment plus one segment per simulated
+        rollout: 6 of the 13 candidates."""
+        strategy = MPCStrategy()
+        simulate_strategy(yahoo15, strategy, SMALL)
+        assert len(strategy.plan_log) == 1
+        # Unpruned, this run made 14 run_trace calls (1 live + 13 rollouts).
+        assert controller_calls == {"step": 0, "run_trace": 7}
+
+    def test_counters_add_up_to_every_candidate(self, yahoo15):
+        """Every plan either simulates or prunes each candidate."""
+        dc = build_datacenter(SMALL)
+        strategy = _mpc(replan_interval_s=120.0)
+        controller = dc.controller(strategy)
+        planner = bind_rollout_planner(strategy, dc, controller, yahoo15)
+        controller.run_trace(yahoo15)
+        assert planner.plans > 1
+        assert planner.pruned > 0
+        assert planner.rollouts + planner.pruned == planner.plans * len(
+            CANDIDATES
+        )
 
 
 class TestForecastProviders:
@@ -574,3 +633,32 @@ class TestStrategyValidation:
         strategy.restore_state(state)
         assert strategy.snapshot_state() == state
         assert strategy.plan_log == log
+
+
+class TestMPCRolloutVector:
+    """Moved from the vector-kernel suite, where it ran no vector code:
+    rollout scores of a short-horizon MPC run are finite floats."""
+
+    def test_scores_are_finite_floats(self, monkeypatch):
+        scores = []
+        original_plan = RolloutPlanner.plan
+
+        def plan(planner, obs):
+            bound = original_plan(planner, obs)
+            scores.extend(score for _, score in planner.last_scores)
+            return bound
+
+        monkeypatch.setattr(RolloutPlanner, "plan", plan)
+        simulate_strategy(
+            random_trace(14),
+            MPCStrategy(
+                candidate_bounds=(2.0, 3.0),
+                horizon_s=60.0,
+                replan_interval_s=30.0,
+            ),
+            SMALL,
+        )
+        assert scores
+        for score in scores:
+            assert isinstance(score, float)
+            assert math.isfinite(score)

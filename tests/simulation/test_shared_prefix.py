@@ -16,7 +16,8 @@ shapes must be served by the shared-prefix search rather than declined.
 The pruning is pinned the same way: every reference performance must lie
 under the optimistic bound the search prunes with, a pruned candidate
 must still win when the provisional winner's tail fails, the paper's
-searches must stay under their pruned ``run_trace`` counts, and table
+searches must stay under their pruned ``run_trace`` counts, the faulted
+searches must make exactly their pruned single-pass counts, and table
 builds inside the envelope must run one search per point, never the
 packed vector batch.
 
@@ -261,6 +262,23 @@ class TestFaultEquality:
         )),
     }
 
+    #: run_trace calls of each search below: one baseline pass cut at
+    #: the frontiers, then the suffixes the descent does not prune.  The
+    #: unpruned two-pass search made the counts in the comments (79 in
+    #: all, against 32).
+    RUN_TRACE_CALLS = {
+        ("breaker-and-gap", 7): 1,  # 1
+        ("breaker-and-gap", 19): 6,  # 7
+        ("chiller-mid-burst", 7): 4,  # 7
+        ("chiller-mid-burst", 19): 3,  # 13
+        ("derate-pre-burst", 7): 3,  # 5
+        ("derate-pre-burst", 19): 2,  # 8
+        ("tes-valve-mid-burst", 7): 4,  # 7
+        ("tes-valve-mid-burst", 19): 3,  # 13
+        ("ups-mid-burst", 7): 3,  # 5
+        ("ups-mid-burst", 19): 3,  # 13
+    }
+
     def test_plans_cover_every_fault_kind(self):
         kinds = {e.kind for plan in self.PLANS.values() for e in plan}
         assert kinds == set(FAULT_KINDS)
@@ -274,7 +292,10 @@ class TestFaultEquality:
             trace, GRID, SMALL, fault_plan=plan
         )
         assert fast is not None
-        assert controller_calls["step"] == 0
+        assert controller_calls == {
+            "step": 0,
+            "run_trace": self.RUN_TRACE_CALLS[(plan_name, seed)],
+        }
         assert fast == reference_search(trace, GRID, SMALL, fault_plan=plan)
 
 
