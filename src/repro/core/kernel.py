@@ -60,10 +60,14 @@ _ACTIVE_POWER_EPS_W = 1e-6
 #: cap is simply never fast-forwarded (stepped normally — still correct).
 _RING_MAX = 32
 
-#: Consecutive eligible steps without a signature match before cycle
-#: detection gives up for the rest of the streak.  Bounds the bookkeeping
-#: overhead on long constant spans that never reach a periodic state
-#: (e.g. a breaker slowly accumulating trip fraction under sprint load).
+#: Eligible steps without a signature match before cycle detection gives
+#: up for the rest of the streak.  A streak is a run of eligible steps; it
+#: spans span boundaries (the ring of candidates does not) and ends only at
+#: an ineligible step or the end of the segment.  Bounds the bookkeeping
+#: overhead on long constant spans that never reach a periodic state (e.g.
+#: a breaker slowly accumulating trip fraction under sprint load) and on
+#: runs of short spans that end before their state repeats (a trace held
+#: at 60 s after a burst, while the room and breakers cool down).
 _RING_MISS_BUDGET = 128
 
 _IDLE = SprintPhase.IDLE
@@ -590,11 +594,21 @@ class StepKernel:
         ``ControlStep``).  Per-sample orchestration is compiled out:
 
         * the segment is run-length-encoded into constant-demand spans, so
-          demand handling and span-invariant products are paid per span;
+          demand handling and span-invariant products are paid per span
+          (the span demands are read as one Python list per segment);
         * constant-bound strategies skip the observation and the budget
           fraction: they never read it, and it feeds no stored state;
-        * telemetry rows are written straight into the ``StepLog`` columns
-          instead of materialising a frozen ``ControlStep`` per step;
+        * out of a burst (no budget snapshot) the budget fraction is
+          EB/EB, which is exactly 1.0 whenever the UPS holds charge, so
+          ``_remaining_j``'s trip-curve solve runs there only on an empty
+          battery;
+        * telemetry rows are written straight into the ``StepLog`` columns,
+          through memoryviews taken once per segment after
+          ``history.reserve`` (a float store through a memoryview skips
+          numpy's scalar conversion) and released in the ``finally``,
+          instead of materialising a frozen ``ControlStep`` per step.  The
+          reserve covers every row of the segment, replays included, so
+          the columns are never reallocated under the views;
         * within a span, once the post-step quiescent signature repeats
           with period k (k >= 1: idle fixed points, admission pinned at
           the bound, PCM melt/refreeze oscillation, ...), the cached
@@ -609,8 +623,11 @@ class StepKernel:
         and TES-activation timers), so every skipped step is provably a
         bit-exact repeat.  Anything else — including every field fault
         injection can mutate, via the signature — falls back to normal
-        stepping.  Fault events only ever land between two segments: the
-        engine ends each segment at the next fault boundary.
+        stepping.  The miss budget (``_RING_MISS_BUDGET``) is one per
+        streak of eligible steps, not one per span, so a run of short
+        spans that never repeats stops probing after the budget.  Fault
+        events only ever land between two segments: the engine ends each
+        segment at the next fault boundary.
         """
         if trace is None:
             n_samples = 1
@@ -620,9 +637,13 @@ class StepKernel:
             samples = trace.samples
             n_samples = int(samples.size)
             trace_dt = trace.dt_s
-            span_starts = np.flatnonzero(samples[1:] != samples[:-1])
+            span_starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
+            # Each span's demand, read once per segment as Python floats:
+            # only the span starts, so a long flat span converts one.
+            demands = [float(samples[0])]
+            demands.extend(samples[span_starts].tolist())
             bounds = [start_index]
-            bounds.extend((span_starts + (start_index + 1)).tolist())
+            bounds.extend((span_starts + start_index).tolist())
             bounds.append(start_index + n_samples)
         settings = ctrl.settings
         dt = settings.dt_s
@@ -693,26 +714,34 @@ class StepKernel:
         quiet_run = const_bound is not None and not notify_is_real
         cycle_enabled = quiet_run and trace is not None
 
+        # Memoryviews of the columns, taken after the reserve so no row of
+        # this segment (cycle replays included) reallocates under them.
         history.reserve(len(history) + n_samples)
         cols = history._cols
-        col_time = cols["time_s"]
-        col_demand = cols["demand"]
-        col_upper = cols["upper_bound"]
-        col_degree = cols["degree"]
-        col_capacity = cols["capacity"]
-        col_served = cols["served"]
-        col_dropped = cols["dropped"]
-        col_it = cols["it_power_w"]
-        col_grid = cols["grid_w"]
-        col_ups = cols["ups_w"]
-        col_cb = cols["cb_overload_w"]
-        col_tes_heat = cols["tes_heat_w"]
-        col_tes_saved = cols["tes_electric_saved_w"]
-        col_cooling = cols["cooling_electric_w"]
-        col_room = cols["room_temperature_c"]
-        col_bound = cols["pdu_grid_bound_w"]
-        col_phase = history._phase
-        col_burst = history._in_burst
+        col_time = memoryview(cols["time_s"])
+        col_demand = memoryview(cols["demand"])
+        col_upper = memoryview(cols["upper_bound"])
+        col_degree = memoryview(cols["degree"])
+        col_capacity = memoryview(cols["capacity"])
+        col_served = memoryview(cols["served"])
+        col_dropped = memoryview(cols["dropped"])
+        col_it = memoryview(cols["it_power_w"])
+        col_grid = memoryview(cols["grid_w"])
+        col_ups = memoryview(cols["ups_w"])
+        col_cb = memoryview(cols["cb_overload_w"])
+        col_tes_heat = memoryview(cols["tes_heat_w"])
+        col_tes_saved = memoryview(cols["tes_electric_saved_w"])
+        col_cooling = memoryview(cols["cooling_electric_w"])
+        col_room = memoryview(cols["room_temperature_c"])
+        col_bound = memoryview(cols["pdu_grid_bound_w"])
+        col_phase = memoryview(history._phase)
+        col_burst = memoryview(history._in_burst)
+        views = (
+            col_time, col_demand, col_upper, col_degree, col_capacity,
+            col_served, col_dropped, col_it, col_grid, col_ups, col_cb,
+            col_tes_heat, col_tes_saved, col_cooling, col_room, col_bound,
+            col_phase, col_burst,
+        )
         row = history._n
 
         # Deferred accumulators (see ``quiet_run`` above).  Initial values
@@ -731,17 +760,19 @@ class StepKernel:
         last_phase = phases.current_phase
         try:
             n_events = 0
+            miss_budget = _RING_MISS_BUDGET
             for b in range(len(bounds) - 1):
                 i = bounds[b]
                 end = bounds[b + 1]
                 if trace is not None:
-                    demand = float(samples[i - start_index])
+                    demand = demands[b]
                 demand_dt = demand * dt
                 # Span-invariant: the needed degree is a pure function of the
                 # (constant) demand and frozen throughput coefficients.
                 span_needed = self._degree_for_capacity(demand)
+                # The ring is span-local (a cached step carries its span's
+                # demand); the miss budget belongs to the eligible streak.
                 ring: List[_SpanEntry] = []
-                miss_budget = _RING_MISS_BUDGET
                 while i < end:
                     if cycle_enabled:
                         n_events = len(safety.events)
@@ -786,13 +817,19 @@ class StepKernel:
                     if const_bound is None:
                         snap = budget._snapshot_total_j
                         if snap is None:
-                            remaining = self._remaining_j(budget)
-                            if remaining <= 0.0:
-                                budget_fraction = 0.0
+                            # No burst snapshot: the fraction is EB/EB, 1.0
+                            # unless EB <= 0 (a NaN or infinite EB clamps to
+                            # 1.0 too).  The UPS term alone makes EB > 0
+                            # while the battery holds charge (the TES and
+                            # breaker terms are never negative), so the
+                            # trip curves are solved only on an empty one.
+                            if (
+                                battery.energy_j > 0.0
+                                or not self._remaining_j(budget) <= 0.0
+                            ):
+                                budget_fraction = 1.0
                             else:
-                                budget_fraction = max(
-                                    0.0, min(1.0, remaining / remaining)
-                                )
+                                budget_fraction = 0.0
                         else:
                             if snap <= 0.0:
                                 budget_fraction = 0.0
@@ -1278,6 +1315,8 @@ class StepKernel:
                     pdu_grid_bound_w=pdu_bound,
                 )
         finally:
+            for view in views:
+                view.release()
             if quiet_run:
                 admission.served_integral = served_acc
                 admission.dropped_integral = dropped_acc

@@ -151,7 +151,9 @@ class FaultEvent:
     fraction:
         Severity in (0, 1]: the share of PDU breakers forced open, of the
         breaker rating lost to de-rating, of the UPS fleet failed, of the
-        chiller capacity lost, or of the TES valve closed.  Ignored for
+        chiller capacity lost, or of the TES valve closed.  A
+        ``breaker_derate`` must keep some rating, so its fraction is below
+        1 (``breaker_trip`` opens a breaker outright).  Ignored for
         ``trace_gap``.
     duration_s:
         How long the fault lasts before the component is restored;
@@ -180,6 +182,12 @@ class FaultEvent:
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigurationError(
                 f"fraction must be in (0, 1], got {self.fraction!r}"
+            )
+        if self.kind == "breaker_derate" and self.fraction == 1.0:
+            raise ConfigurationError(
+                "breaker_derate fraction must be below 1: a 100% de-rate "
+                "leaves the breaker no rating; use breaker_trip to force "
+                "it open"
             )
         if math.isnan(self.duration_s):
             object.__setattr__(

@@ -19,12 +19,17 @@ import pytest
 
 from repro.core.controller import ControllerSettings, SprintingController
 from repro.core.steplog import StepLog
-from repro.core.strategies import FixedUpperBoundStrategy, GreedyStrategy
+from repro.core.strategies import (
+    FixedUpperBoundStrategy,
+    GreedyStrategy,
+    SprintingStrategy,
+)
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import run_simulation
 from repro.simulation.faults import FaultEvent, FaultPlan
 from repro.workloads.traces import Trace
+from repro.workloads.yahoo_trace import generate_yahoo_trace
 
 #: Small facility: same per-server ratios as the paper config, cheap to run.
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=50)
@@ -198,3 +203,56 @@ class TestKernelMatchesReference:
                     ), field.name
                 else:
                     assert va == vb, field.name
+
+
+class RecordingStrategy(SprintingStrategy):
+    """Greedy's bound, but not constant: the kernel builds an observation
+    every step, and each one is recorded."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.observations = []
+
+    def degree_upper_bound(self, obs):
+        self.observations.append(obs)
+        return obs.max_degree
+
+
+class TestObservationStream:
+    """Both paths hand a time-varying strategy identical observations.
+
+    No shipped strategy reads ``budget_fraction_remaining`` outside a
+    burst, so the result-level suites cannot see a wrong value there; this
+    compares the observation streams themselves, field by field.
+    """
+
+    @staticmethod
+    def _observations(trace, use_kernel, empty_battery):
+        dc = build_datacenter(SMALL)
+        strategy = RecordingStrategy()
+        controller = SprintingController(
+            cluster=dc.cluster,
+            topology=dc.topology,
+            cooling=dc.cooling,
+            strategy=strategy,
+            settings=ControllerSettings(recharge_when_idle=not empty_battery),
+            use_kernel=use_kernel,
+        )
+        if empty_battery:
+            dc.topology.pdu.ups.battery.energy_j = 0.0
+        controller.run_trace(trace)
+        assert len(strategy.observations) == len(trace)
+        return strategy.observations
+
+    @pytest.mark.parametrize("empty_battery", (False, True))
+    def test_kernel_and_reference_observe_the_same(self, empty_battery):
+        """With charge in the battery the kernel takes the out-of-burst
+        budget fraction as 1.0 without solving the budget; with an empty
+        one (no recharge) it solves the budget as the reference does."""
+        trace = generate_yahoo_trace(burst_degree=3.0, burst_duration_min=10)
+        fast = self._observations(trace, True, empty_battery)
+        ref = self._observations(trace, False, empty_battery)
+        assert [repr(obs) for obs in fast] == [repr(obs) for obs in ref]
+        assert any(obs.in_burst for obs in fast)
+        assert any(not obs.in_burst for obs in fast)

@@ -10,6 +10,8 @@ and every accumulator matches the reference exactly.  It also pins:
 
 * an explicit k>1 steady cycle (PCM melt/refreeze oscillation) actually
   replaying through :meth:`~repro.core.steplog.StepLog.extend_cycle`;
+* the cycle detector's miss budget, one per streak of eligible steps, on
+  a trace held at 60 s, and the replayed step counts of three traces;
 * the path of faulted runs under every fault kind: span-engine segments
   split at the fault boundaries, never a per-sample ``controller.step``;
 * the vector kernel's per-element quiescent latch arming, replaying
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.kernel import _RING_MISS_BUDGET, StepKernel
 from repro.core.steplog import StepLog
 from repro.core.strategies import FixedUpperBoundStrategy, GreedyStrategy
 from repro.errors import ConfigurationError
@@ -31,6 +34,7 @@ from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import run_simulation
 from repro.simulation.faults import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.workloads.traces import Trace
+from repro.workloads.yahoo_trace import generate_yahoo_trace
 
 from tests.core.test_kernel_differential import (
     SMALL,
@@ -335,6 +339,60 @@ class TestSteadyCycle:
             f"expected a k>1 cycle replay, got only {replays!r}"
         )
         assert max(k for k, _ in multi) >= 5
+
+    @pytest.mark.parametrize(
+        "shape, replayed",
+        (("yahoo-held", 290), ("flat", 1798), ("plateaus", 192)),
+    )
+    def test_probe_budget_is_per_streak(self, shape, replayed, monkeypatch):
+        """The miss budget counts one streak of eligible steps across
+        span boundaries, so a run of short spans stops probing.
+
+        The Yahoo trace held at 60 s (per-minute monitoring data) cools
+        down after its burst in one-minute spans, shorter than the budget:
+        with a budget per span every post-burst step computed a signature
+        (777 of them) that never matched.  Per streak the probes stop after
+        the budget, and the same 290 steps still replay; the flat and
+        plateau traces of ``bench_span_engine.py`` keep their replays.
+        """
+        probes = []
+        replays = []
+        original_sig = StepKernel._quiescent_sig
+        original_extend = StepLog.extend_cycle
+
+        def sig_spy(self, ctrl):
+            probes.append(None)
+            return original_sig(self, ctrl)
+
+        def extend_spy(self, steps, repeats, times=None):
+            replays.append((len(steps), repeats))
+            original_extend(self, steps, repeats, times)
+
+        monkeypatch.setattr(StepKernel, "_quiescent_sig", sig_spy)
+        monkeypatch.setattr(StepLog, "extend_cycle", extend_spy)
+        if shape == "yahoo-held":
+            yahoo = generate_yahoo_trace(burst_degree=3.0, burst_duration_min=10)
+            trace = yahoo.resampled(60.0).resampled(yahoo.dt_s)
+        elif shape == "flat":
+            trace = Trace(np.full(1800, 0.6), dt_s=1.0, name="flat")
+        else:
+            rng = np.random.default_rng(7)
+            parts = []
+            for _ in range(6):
+                parts.append(np.full(int(rng.integers(100, 200)),
+                                     float(rng.uniform(0.3, 0.8))))
+                parts.append(np.full(int(rng.integers(80, 160)),
+                                     float(rng.uniform(1.2, 2.8))))
+            trace = Trace(np.concatenate(parts), dt_s=1.0, name="plateaus")
+        fast = run_simulation(
+            build_datacenter(), trace, GreedyStrategy(), use_kernel=True
+        )
+        assert len(probes) <= 2 * _RING_MISS_BUDGET
+        assert sum(k * r for k, r in replays) == replayed
+        ref = run_simulation(
+            build_datacenter(), trace, GreedyStrategy(), use_kernel=False
+        )
+        assert_results_identical(fast, ref)
 
 
 @settings(

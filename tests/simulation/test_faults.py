@@ -92,6 +92,18 @@ class TestFaultEventParse:
         with pytest.raises(ConfigurationError):
             FaultEvent(kind="breaker_trip", time_s=-1.0)
 
+    def test_full_breaker_derate_rejected_when_built(self):
+        """A 100% de-rate would leave the breaker no rating and raise
+        mid-run when injected; the plan rejects it up front and points to
+        ``breaker_trip``, which opens a breaker outright."""
+        with pytest.raises(ConfigurationError, match="breaker_derate.*breaker_trip"):
+            FaultEvent(kind="breaker_derate", time_s=100.0, fraction=1.0)
+        with pytest.raises(ConfigurationError, match="breaker_derate.*breaker_trip"):
+            FaultEvent.parse("derate@100s:fraction=1.0")
+        assert FaultEvent.parse("breaker@100s:fraction=1.0").fraction == 1.0
+        nearly = FaultEvent(kind="breaker_derate", time_s=100.0, fraction=0.999)
+        assert nearly.fraction == 0.999
+
 
 class TestFaultEventSerialisation:
     def test_round_trip_preserves_fields(self):

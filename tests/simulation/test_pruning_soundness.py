@@ -72,17 +72,19 @@ def traces(draw, n=240):
 
 @st.composite
 def faults(draw, kind, n=240):
-    """One event of ``kind`` somewhere in the trace.
-
-    Fractions stop short of 1.0: a 100% breaker de-rate leaves a zero
-    rating, which the breaker rejects as a configuration error.
-    """
+    """One event of ``kind`` somewhere in the trace, at any valid fraction:
+    (0, 1], or (0, 1) for a ``breaker_derate``."""
     finite = draw(st.booleans())
     return FaultPlan((
         FaultEvent(
             kind=kind,
             time_s=float(draw(st.integers(min_value=0, max_value=n - 1))),
-            fraction=draw(st.floats(min_value=0.1, max_value=0.95)),
+            fraction=draw(st.floats(
+                min_value=0.0,
+                max_value=1.0,
+                exclude_min=True,
+                exclude_max=kind == "breaker_derate",
+            )),
             duration_s=(
                 float(draw(st.integers(min_value=1, max_value=120)))
                 if finite
