@@ -9,10 +9,9 @@ timed in the same process.  The >= 5x assertion is the PR's acceptance
 floor; the measured ratio lands in ``BENCH_engine.json`` via
 ``extra_info``.
 
-The scalar comparison deliberately times the scalar kernel's plain path
-(a fixed-bound run over the same trace), not the quiescent fast-forward
-best case — the batch kernel's contract is bit-identity with that run,
-so per-facility steps/second is the honest common denominator.
+The scalar comparison times a fixed-bound span-engine run over the same
+trace — the batch kernel's contract is bit-identity with that run, so
+per-facility steps/second is the honest common denominator.
 """
 
 from __future__ import annotations

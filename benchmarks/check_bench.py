@@ -5,7 +5,9 @@ Compares a freshly written ``BENCH_engine.json`` (pytest-benchmark format)
 against the compact committed baseline
 (``benchmarks/BENCH_baseline.json``) and exits non-zero when any shared
 benchmark's throughput (ops/second) falls more than ``--tolerance``
-(default 25%) below the baseline.
+(default 25%) below the baseline, or when a baseline benchmark is missing
+from the fresh run (printed as ``missing``).  A retired benchmark leaves
+the baseline in the same change that deletes it.
 
 Raw wall-clock comparisons only make sense on comparable machines — the
 committed baseline records the machine class it was taken on.  For CI
@@ -57,7 +59,8 @@ def compare(
     tolerance: float,
     relative_to: str | None,
 ) -> int:
-    """Print a comparison table; return the number of regressions."""
+    """Print a comparison table; return the number of regressed or
+    missing benchmarks."""
     if relative_to is not None:
         for name, table in (("fresh", fresh), ("baseline", baseline)):
             if relative_to not in table:
@@ -88,7 +91,12 @@ def compare(
     only_fresh = sorted(set(fresh) - set(baseline))
     for name in only_fresh:
         print(f"{name:45s}    new (no baseline)  ok")
-    return regressions
+    # A baseline row the fresh run lacks was deleted, renamed or skipped:
+    # a failure, so the gate cannot pass by not running a benchmark.
+    only_baseline = sorted(set(baseline) - set(fresh))
+    for name in only_baseline:
+        print(f"{name:45s}    missing            REGRESSION")
+    return regressions + len(only_baseline)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     if regressions:
         print(
             f"\n{regressions} benchmark(s) regressed more than "
-            f"{args.tolerance:.0%} below baseline",
+            f"{args.tolerance:.0%} below baseline or missing from the "
+            "fresh run",
             file=sys.stderr,
         )
         return 1

@@ -5,9 +5,12 @@ Builds ``BASE_REV`` with ``git archive`` in a temporary directory, then
 runs ``sprintbench/run.py --seconds 25`` from each copy, alternating which
 side goes first, for ``--pairs`` pairs.  Every run must be ``correct`` and
 print the same digest as every other run; otherwise the tool stops with
-an error.  The result goes to ``benchmarks/pairs/<workload>-<seed>.json``:
-every run, plus per end-to-end metric of ``BENCHMARK.json`` each side's
-median and quartiles, the change's wins and a verdict.
+an error.  The result goes to
+``benchmarks/pairs/<workload>-<seed>-<base>.json``, where ``<base>`` is the
+first seven characters of the exported parent commit, so a later
+comparison against another parent never overwrites it: every run, plus per
+end-to-end metric of ``BENCHMARK.json`` each side's median and quartiles,
+the change's wins and a verdict.
 
 Usage::
 
@@ -135,6 +138,11 @@ def summarize(
     return summary
 
 
+def out_path(workload: str, seed: int, base_commit: str) -> Path:
+    """The pairs file of one workload and seed against one parent commit."""
+    return OUT_DIR / f"{workload}-{seed}-{base_commit[:7]}.json"
+
+
 def _export(rev: str, dest: Path) -> str:
     """Extract ``rev`` into ``dest`` with ``git archive``; return its commit."""
     commit = subprocess.run(
@@ -211,7 +219,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     summary = summarize(runs, specs)
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    out = OUT_DIR / f"{args.workload}-{args.seed}.json"
+    out = out_path(args.workload, args.seed, commit)
     out.write_text(json.dumps({
         "workload": args.workload,
         "seed": args.seed,

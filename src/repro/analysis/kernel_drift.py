@@ -119,9 +119,8 @@ ALLOWED_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
         "Trace object"
     ),
     ("Trace", "dt_s"): (
-        "span compilation: a segment times step i as i * trace.dt_s "
-        "(bulk-replayed steady cycles included); the reference receives "
-        "time_s precomputed by its caller"
+        "span compilation: a segment times step i as i * trace.dt_s; "
+        "the reference receives time_s precomputed by its caller"
     ),
     ("PhaseTracker", "current_phase"): (
         "deferred accumulators: a quiet run loads the tracker's phase "
@@ -209,17 +208,6 @@ EQUIVALENT_CONSTANTS: Dict[float, str] = {
     2.718281828459045: (
         "math.e folded so pow(e, x) replays the reference exp(x) "
         "bit-for-bit without the math-module dispatch"
-    ),
-    32: (
-        "_RING_MAX, the steady-cycle detector's ring depth: a cache "
-        "sizing knob of the kernel-only fast-forward, not a physical "
-        "parameter — a smaller ring only misses longer cycles, it never "
-        "changes a replayed value"
-    ),
-    128: (
-        "_RING_MISS_BUDGET, the per-span cap on failed cycle probes: a "
-        "cost bound on the kernel-only detector — exhausting it only "
-        "disables further replay attempts, never changes a step"
     ),
 }
 
@@ -677,7 +665,6 @@ class KernelDriftRule(Rule):
                 [
                     ("VectorStepKernel", "__init__"),
                     ("VectorStepKernel", "step"),
-                    ("VectorStepKernel", "_replay_latched"),
                 ],
             ),
             VECTOR_OWN_CLASSES,

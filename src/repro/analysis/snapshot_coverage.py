@@ -21,9 +21,8 @@ set*:
   ``__init__``/``__post_init__``; and
 * every ``<obj>.<attr>`` store *anywhere else in the tree* whose
   attribute name matches one of the class's ``__init__``-declared fields
-  (fault injection de-rates ratings in place, the kernel writes the
-  controller's fast-forward cache — external mutation is still
-  mutation).
+  (fault injection de-rates ratings in place, the kernel writes detector,
+  budget and substrate state — external mutation is still mutation).
 
 Each mutable attribute must then be *covered*: its name must appear in
 ``repro/simulation/snapshot.py`` (the capture/restore surface), or be

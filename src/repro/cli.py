@@ -348,10 +348,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"p95 span length     : {stats_.p95_length:.2f}")
         print(f"max span length     : {stats_.max_length}")
         print(f"median span length  : {lengths[len(lengths) // 2]}")
-        print(f"predicted ff coverage: "
-              f"{stats_.predicted_ff_coverage:.1%} of steps fall inside a "
-              f"constant-demand span remainder (upper bound on what the "
-              f"steady-cycle fast-forward can replay)")
         return 0
     dc = build_datacenter()
     use_kernel = not args.reference
@@ -796,9 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "snakeviz")
     profile.add_argument("--spans", action="store_true",
                          help="print the trace's RLE span statistics "
-                              "(count, mean/p95 length, predicted "
-                              "fast-forward coverage) instead of "
-                              "profiling")
+                              "(count, mean/p95/max/median length) "
+                              "instead of profiling")
     profile.set_defaults(func=_cmd_profile)
 
     export = subparsers.add_parser(

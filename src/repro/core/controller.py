@@ -238,7 +238,7 @@ class SprintingController:
         Equivalent to ``for j, d in enumerate(trace): i = start_index + j;
         self.step(d, i * trace.dt_s, i)``.  Kernel-backed controllers take
         the span-compiled fast path (:meth:`StepKernel.run_trace` —
-        bit-identical, RLE spans plus steady-cycle fast-forward);
+        bit-identical, one step per sample over RLE spans);
         reference controllers fall back to per-sample stepping.  One call
         is one *segment*: callers that must act between samples (fault
         injection, forked searches) split a run into consecutive segments,

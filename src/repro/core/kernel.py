@@ -25,7 +25,7 @@ method calls because they carry side effects (plan state, safety events).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -55,21 +55,6 @@ _SPRINT_THRESHOLD = 1.0 + 1e-6
 #: Phase-classification noise floor (mirrors ``repro.core.phases``).
 _ACTIVE_POWER_EPS_W = 1e-6
 
-#: Longest steady-cycle period the span engine can detect.  The ring of
-#: candidate signatures is capped here, so a k-step cycle with k above the
-#: cap is simply never fast-forwarded (stepped normally — still correct).
-_RING_MAX = 32
-
-#: Eligible steps without a signature match before cycle detection gives
-#: up for the rest of the streak.  A streak is a run of eligible steps; it
-#: spans span boundaries (the ring of candidates does not) and ends only at
-#: an ineligible step or the end of the segment.  Bounds the bookkeeping
-#: overhead on long constant spans that never reach a periodic state (e.g.
-#: a breaker slowly accumulating trip fraction under sprint load) and on
-#: runs of short spans that end before their state repeats (a trace held
-#: at 60 s after a burst, while the room and breakers cool down).
-_RING_MISS_BUDGET = 128
-
 _IDLE = SprintPhase.IDLE
 _PHASE1 = SprintPhase.PHASE1_CB
 _PHASE2 = SprintPhase.PHASE2_UPS
@@ -81,57 +66,6 @@ _CODE_IDLE = _CODE_BY_PHASE[_IDLE]
 _CODE_PHASE1 = _CODE_BY_PHASE[_PHASE1]
 _CODE_PHASE2 = _CODE_BY_PHASE[_PHASE2]
 _CODE_PHASE3 = _CODE_BY_PHASE[_PHASE3]
-
-
-class _SpanEntry:
-    """One eligible step of a constant-demand span, cached for cycle replay.
-
-    Holds the post-step quiescent signature (identity of the mutable state)
-    plus everything a bulk replay of this step needs: the materialised
-    telemetry row and the per-step accumulator increments, each precomputed
-    with exactly the multiply the reference performs so the replay's adds
-    are bit-identical.
-    """
-
-    __slots__ = (
-        "sig_hash",
-        "sig",
-        "step",
-        "served_dt",
-        "dropped_dt",
-        "cb_dt",
-        "ups_dt",
-        "tes_dt",
-        "phase",
-        "degree",
-        "in_burst",
-    )
-
-    def __init__(
-        self,
-        sig_hash: int,
-        sig: Tuple[object, ...],
-        step: ControlStep,
-        served_dt: float,
-        dropped_dt: float,
-        cb_dt: float,
-        ups_dt: float,
-        tes_dt: float,
-        phase: SprintPhase,
-        degree: float,
-        in_burst: bool,
-    ) -> None:
-        self.sig_hash = sig_hash
-        self.sig = sig
-        self.step = step
-        self.served_dt = served_dt
-        self.dropped_dt = dropped_dt
-        self.cb_dt = cb_dt
-        self.ups_dt = ups_dt
-        self.tes_dt = tes_dt
-        self.phase = phase
-        self.degree = degree
-        self.in_burst = in_burst
 
 
 class _BreakerConsts:
@@ -572,8 +506,8 @@ class StepKernel:
         """One control period at an explicit ``time_s``: a one-sample segment.
 
         Runs the same body as :meth:`run_trace` and returns the committed
-        step's telemetry; the span set-up (RLE, cycle detection) is skipped
-        because a single sample has nothing to compile or replay.
+        step's telemetry; the span set-up (RLE) is skipped because a single
+        sample has nothing to compile.
         """
         require_non_negative(demand, "demand")
         require_non_negative(time_s, "time_s")
@@ -607,27 +541,11 @@ class StepKernel:
           ``history.reserve`` (a float store through a memoryview skips
           numpy's scalar conversion) and released in the ``finally``,
           instead of materialising a frozen ``ControlStep`` per step.  The
-          reserve covers every row of the segment, replays included, so
-          the columns are never reallocated under the views;
-        * within a span, once the post-step quiescent signature repeats
-          with period k (k >= 1: idle fixed points, admission pinned at
-          the bound, PCM melt/refreeze oscillation, ...), the cached
-          k-step cycle is replayed in bulk for the span remainder —
-          wall clocks, admission integrals and phase accumulators advance
-          with exactly the per-step adds the reference performs, and the
-          rows land via :meth:`StepLog.extend_cycle`.
+          reserve covers every row of the segment, so the columns are
+          never reallocated under the views.
 
-        Cycle detection is conservative: it requires a constant-bound
-        strategy and steps with no UPS or TES flow, no safety event, and
-        no time dependence (out of burst, or in burst past the burst-exit
-        and TES-activation timers), so every skipped step is provably a
-        bit-exact repeat.  Anything else — including every field fault
-        injection can mutate, via the signature — falls back to normal
-        stepping.  The miss budget (``_RING_MISS_BUDGET``) is one per
-        streak of eligible steps, not one per span, so a run of short
-        spans that never repeats stops probing after the budget.  Fault
-        events only ever land between two segments: the engine ends each
-        segment at the next fault boundary.
+        Every sample is stepped.  Fault events only ever land between two
+        segments: the engine ends each segment at the next fault boundary.
         """
         if trace is None:
             n_samples = 1
@@ -705,17 +623,16 @@ class StepKernel:
             is not SprintingStrategy.notify_realized
         )
         # A constant-bound strategy with the no-op notify never observes
-        # the controller mid-run.  That enables both the steady-cycle
-        # replay and the deferred accumulators below: the admission
-        # integrals, phase energies and time-in-phase live in locals for
-        # the whole run and are written back (also on exceptions) in the
-        # ``finally`` block — every per-step add still happens, in the
-        # reference order, so the final values are bit-identical.
+        # the controller mid-run.  That enables the deferred accumulators
+        # below: the admission integrals, phase energies and time-in-phase
+        # live in locals for the whole run and are written back (also on
+        # exceptions) in the ``finally`` block — every per-step add still
+        # happens, in the reference order, so the final values are
+        # bit-identical.
         quiet_run = const_bound is not None and not notify_is_real
-        cycle_enabled = quiet_run and trace is not None
 
         # Memoryviews of the columns, taken after the reserve so no row of
-        # this segment (cycle replays included) reallocates under them.
+        # this segment reallocates under them.
         history.reserve(len(history) + n_samples)
         cols = history._cols
         col_time = memoryview(cols["time_s"])
@@ -759,8 +676,6 @@ class StepKernel:
         tip_p3 = tip[_PHASE3]
         last_phase = phases.current_phase
         try:
-            n_events = 0
-            miss_budget = _RING_MISS_BUDGET
             for b in range(len(bounds) - 1):
                 i = bounds[b]
                 end = bounds[b + 1]
@@ -770,12 +685,7 @@ class StepKernel:
                 # Span-invariant: the needed degree is a pure function of the
                 # (constant) demand and frozen throughput coefficients.
                 span_needed = self._degree_for_capacity(demand)
-                # The ring is span-local (a cached step carries its span's
-                # demand); the miss budget belongs to the eligible streak.
-                ring: List[_SpanEntry] = []
                 while i < end:
-                    if cycle_enabled:
-                        n_events = len(safety.events)
                     if trace is not None:
                         time_s = i * trace_dt
 
@@ -1153,146 +1063,6 @@ class StepKernel:
                     history._n = row
                     i += 1
 
-                    # --- steady-cycle detection (span-local ring) ------------
-                    if not cycle_enabled or i >= end or miss_budget <= 0:
-                        continue
-                    # Eligibility: the step must be provably time-independent
-                    # and leave no accumulator outside the signature moving.
-                    # No UPS/TES flow freezes the battery-wear and
-                    # tank-absorption counters; unchanged safety-event count
-                    # proves no event was recorded; out of a burst there is no
-                    # timer at all, in a burst the demand must hold the
-                    # detector above capacity (no exit countdown) and the TES
-                    # activation threshold must be settled (empty, absent, or
-                    # already crossed — it is monotone within a burst).
-                    if (
-                        ups_total == 0.0
-                        and heat_via_tes == 0.0
-                        and len(safety.events) == n_events
-                        and (
-                            not in_burst
-                            or (
-                                demand > detector.capacity
-                                and (
-                                    tes is None
-                                    or tes.energy_j <= 1e-9
-                                    or time_in_burst >= tes_activation
-                                )
-                            )
-                        )
-                    ):
-                        sig = self._quiescent_sig(ctrl)
-                        sig_hash = hash(sig)
-                        k = 0
-                        for back in range(1, len(ring) + 1):
-                            cand = ring[-back]
-                            if cand.sig_hash == sig_hash and cand.sig == sig:
-                                k = back
-                                break
-                        entry = _SpanEntry(
-                            sig_hash,
-                            sig,
-                            self._ControlStep(
-                                time_s=time_s,
-                                demand=demand,
-                                upper_bound=upper_bound,
-                                degree=effective_degree,
-                                capacity=capacity,
-                                served=served,
-                                dropped=dropped,
-                                phase=phase,
-                                in_burst=in_burst,
-                                it_power_w=effective_power,
-                                grid_w=pdu_grid_total,
-                                ups_w=ups_total,
-                                cb_overload_w=cb_overload_w,
-                                tes_heat_w=heat_via_tes,
-                                tes_electric_saved_w=tes_saved_w,
-                                cooling_electric_w=cooling_electric,
-                                room_temperature_c=room.temperature_c,
-                                pdu_grid_bound_w=pdu_bound,
-                            ),
-                            served * dt,
-                            dropped * dt,
-                            (cb_overload_w if sprinting else 0.0) * dt,
-                            ups_total * dt,
-                            tes_saved_w * dt,
-                            phase,
-                            effective_degree,
-                            in_burst,
-                        )
-                        n_rep = 0
-                        if k > 0:
-                            n_rep = (end - i) // k
-                        if n_rep == 0:
-                            if k == 0:
-                                miss_budget -= 1
-                            ring.append(entry)
-                            if len(ring) > _RING_MAX:
-                                del ring[0]
-                            continue
-                        # --- bulk replay of the k-step cycle -----------------
-                        # State after this step equals state after the step k
-                        # back, so the next n_rep * k steps are bit-exact
-                        # repeats of the last k cached ones.  The remainder
-                        # (< k steps) is stepped normally.
-                        if k == 1:
-                            cycle = [entry]
-                        else:
-                            cycle = ring[len(ring) - (k - 1) :] + [entry]
-                        total_steps = n_rep * k
-                        times = (
-                            np.arange(i, i + total_steps, dtype=np.float64)
-                            * trace_dt
-                        )
-                        history.extend_cycle(
-                            [e.step for e in cycle], n_rep, times
-                        )
-                        row = history._n
-                        # The accumulators are already locals (a quiet run
-                        # is a precondition for cycles), so the replay adds
-                        # go straight into them — the same per-step scalar
-                        # adds the reference performs, never n * delta.
-                        pdu_t = pdu_breaker._time_s
-                        dc_t = dc_breaker._time_s
-                        deltas = [
-                            (
-                                e.served_dt,
-                                e.dropped_dt,
-                                e.cb_dt,
-                                e.ups_dt,
-                                e.tes_dt,
-                                e.phase,
-                            )
-                            for e in cycle
-                        ]
-                        for _ in range(n_rep):
-                            for s_d, d_d, cb_d, u_d, t_d, ph in deltas:
-                                served_acc += s_d
-                                dropped_acc += d_d
-                                demand_acc += demand_dt
-                                cb_acc += cb_d
-                                ups_acc += u_d
-                                tes_acc += t_d
-                                if ph is _IDLE:
-                                    tip_idle += dt
-                                elif ph is _PHASE1:
-                                    tip_p1 += dt
-                                elif ph is _PHASE2:
-                                    tip_p2 += dt
-                                else:
-                                    tip_p3 += dt
-                                pdu_t += dt
-                                dc_t += dt
-                        pdu_breaker._time_s = pdu_t
-                        dc_breaker._time_s = dc_t
-                        i += total_steps
-                        ring.append(entry)
-                        if len(ring) > _RING_MAX:
-                            del ring[0]
-                    else:
-                        ring.clear()
-                        miss_budget = _RING_MISS_BUDGET
             if trace is None:
                 return self._ControlStep(
                     time_s=time_s,
@@ -1330,47 +1100,3 @@ class StepKernel:
                 tip[_PHASE3] = tip_p3
                 phases.current_phase = last_phase
         return None
-
-    # ------------------------------------------------------------------
-    # Steady-cycle signature
-    # ------------------------------------------------------------------
-    def _quiescent_sig(self, ctrl: SprintingController) -> Tuple[object, ...]:
-        """Signature of every piece of mutable state the step reads.
-
-        Two identical signatures plus an identical demand sample imply the
-        step computation is identical (for a constant-bound strategy, under
-        the cycle detector's eligibility conditions).  Telemetry-only
-        fields (histories, integrals, breaker wall clocks) are deliberately
-        excluded: they never feed back into the physics.
-        """
-        battery = self._battery
-        tes = self._tes
-        pdu_b = self._pdu_breaker
-        dc_b = self._dc_breaker
-        room = self._room
-        detector = ctrl.detector
-        pcm = ctrl.pcm
-        return (
-            detector.in_burst,
-            detector.burst_started_at_s,
-            detector._below_since_s,
-            ctrl._burst_was_active,
-            ctrl.budget._snapshot_total_j,
-            ctrl.safety._emergency_latched,
-            battery.energy_j,
-            battery.capacity_ah,
-            battery.max_discharge_power_w,
-            None if tes is None else tes.energy_j,
-            None if tes is None else tes.max_discharge_w,
-            self._chiller.rated_removal_w,
-            pdu_b.trip_fraction,
-            pdu_b.tripped,
-            pdu_b.rated_power_w,
-            dc_b.trip_fraction,
-            dc_b.tripped,
-            dc_b.rated_power_w,
-            room.temperature_c,
-            room.peak_temperature_c,
-            None if pcm is None else pcm.melted_j,
-            None if pcm is None else pcm._latched,
-        )

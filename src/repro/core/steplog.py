@@ -137,9 +137,11 @@ class StepLog:
         Equivalent to ``for _ in range(repeats): for s in steps:
         self.append(s)`` except that, when ``times`` is given (one value per
         appended row), the ``time_s`` column takes those values instead of
-        each step's own ``time_s`` — the steady-cycle fast-forward replays a
-        cached cycle whose telemetry is identical per period *except* for
-        the advancing wall clock.
+        each step's own ``time_s``.
+
+        No run path calls it: the span engine steps every sample.  It stays
+        because sprintbench's tracer wraps it by name for its
+        ``steplog.replayed_*`` metrics (now always 0); it goes with them.
         """
         k = len(steps)
         total = k * repeats

@@ -111,7 +111,7 @@ class SprintingStrategy(ABC):
         observation with this ``max_degree`` the strategy would return
         exactly this value from :meth:`degree_upper_bound`, with no side
         effects — the span engine then skips building the observation and
-        polling the strategy each step, and may replay steady cycles.
+        polling the strategy each step.
         """
         return None
 

@@ -28,10 +28,6 @@ are therefore preserved verbatim rather than simplified.
 
 Divergences from the scalar kernel, each bit-neutral:
 
-* The scalar span engine's steady-cycle replay is not restated (the
-  batch has its own per-element latch): by the replay's own contract a
-  replayed step is bit-identical to recomputation, so recomputing cannot
-  drift.
 * The budget *fraction* is not computed per step: with a fixed bound it
   feeds only the strategy observation, which nothing reads.
 * A per-element failure (tank depletion, thermal emergency, breaker trip)
@@ -49,7 +45,7 @@ rating arrays (``chiller_rated_w``, ``battery_capacity_ah``,
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -489,21 +485,6 @@ class VectorStepKernel:
         else:
             self.telemetry = None
 
-        # --- per-element quiescent latch (vector fast-forward) ---------
-        # Armed when the whole batch sat at a demand-repeating fixed point
-        # for a full step: every per-element state array came out of the
-        # step bit-identical and no alive element is inside a burst (the
-        # only place absolute time enters the arithmetic).  While armed,
-        # identical demand replays the cached step: the same accumulator
-        # add arrays, the same telemetry rows (wall clock aside), the same
-        # served vector.  Tracking is lazy — the signature is only
-        # snapshotted once the demand repeats, so jittered workloads pay
-        # one array compare per step and nothing else.
-        self._ff_armed = False
-        self._ff_cache: Optional[Dict[str, Any]] = None
-        self._ff_sig: Optional[List[np.ndarray]] = None
-        self._ff_last_demand: Optional[np.ndarray] = None
-
     # ------------------------------------------------------------------
     # Cluster arithmetic (vector restatement of StepKernel's maps)
     # ------------------------------------------------------------------
@@ -696,97 +677,6 @@ class VectorStepKernel:
             self.failed_time_s = np.where(mask, time_s, self.failed_time_s)
 
     # ------------------------------------------------------------------
-    # Quiescent latch (vector fast-forward)
-    # ------------------------------------------------------------------
-    def clear_fast_forward(self) -> None:
-        """Disarm the quiescent latch and drop its cached step.
-
-        Callers that mutate any per-element state array directly (fault
-        masks derating breakers, external battery writes, ...) must call
-        this first — the latch proves its fixed point from observed
-        step-over-step state and cannot see out-of-band writes.
-        """
-        self._ff_armed = False
-        self._ff_cache = None
-        self._ff_sig = None
-        self._ff_last_demand = None
-
-    def _signature_arrays(self) -> List[np.ndarray]:
-        """Every per-element array the step arithmetic reads.
-
-        Pure accumulators (admission integrals, phase clocks, breaker
-        wall clocks, ``steps_done``) are deliberately absent: they advance
-        every step but feed nothing, and the replay advances them with
-        the same per-step adds the normal step performs.
-        """
-        return [
-            self.battery_energy_j,
-            self.battery_discharged_j,
-            self.battery_cycles,
-            self.tes_energy_j,
-            self.tes_absorbed_j,
-            self.room_temperature_c,
-            self.room_peak_c,
-            self.pdu.trip_fraction,
-            self.pdu.tripped,
-            self.dc.trip_fraction,
-            self.dc.tripped,
-            self.pcm_melted_j,
-            self.pcm_latched,
-            self.in_burst,
-            self._has_burst_start,
-            self.burst_started_s,
-            self._has_below,
-            self.below_since_s,
-            self.burst_was_active,
-            self.budget_snapshot_j,
-            self._has_snapshot,
-            self.emergency_latched,
-            self.failed,
-            self.failed_kind,
-            self.violations,
-        ]
-
-    def _replay_latched(self, time_s: float) -> np.ndarray:
-        """Replay the cached fixed-point step (bit-identical adds)."""
-        cache = self._ff_cache
-        assert cache is not None
-        dt = self._dt
-        self.served_integral = self.served_integral + cache["add_served"]
-        self.dropped_integral = self.dropped_integral + cache["add_dropped"]
-        self.demand_integral = self.demand_integral + cache["add_demand"]
-        tip_adds = cache["tip_adds"]
-        for code in range(len(PHASE_ORDER)):
-            self.time_in_phase_s[code] = (
-                self.time_in_phase_s[code] + tip_adds[code]
-            )
-        self.cb_overload_energy_j = (
-            self.cb_overload_energy_j + cache["add_cb"]
-        )
-        self.ups_energy_j = self.ups_energy_j + cache["add_ups"]
-        self.tes_electric_energy_j = (
-            self.tes_electric_energy_j + cache["add_tes"]
-        )
-        advance = cache["advance"]
-        self.pdu.time_s = np.where(
-            advance, self.pdu.time_s + dt, self.pdu.time_s
-        )
-        self.dc.time_s = np.where(
-            advance, self.dc.time_s + dt, self.dc.time_s
-        )
-        if self.telemetry is not None:
-            ok = cache["ok"]
-            rows = cache["rows"]
-            t = self.telemetry
-            for name in t:
-                if name == "time_s":
-                    t[name].append(np.where(ok, time_s, math.nan))
-                else:
-                    t[name].append(rows[name])
-        self.steps_done += 1
-        return cache["served_out"]
-
-    # ------------------------------------------------------------------
     # The control period
     # ------------------------------------------------------------------
     def step(self, demand: object, time_s: float) -> np.ndarray:
@@ -805,20 +695,6 @@ class VectorStepKernel:
         if not bool(np.all(d >= 0.0)):
             require_non_negative(float(d.min()), "demand")
         require_non_negative(time_s, "time_s")
-
-        # --- quiescent latch: replay or (lazily) track ------------------
-        if self._ff_armed:
-            cache = self._ff_cache
-            assert cache is not None
-            if bool(np.array_equal(d, cache["demand"])):
-                return self._replay_latched(time_s)
-        last_d = self._ff_last_demand
-        ff_track = last_d is not None and bool(np.array_equal(d, last_d))
-        if not ff_track:
-            self._ff_armed = False
-            self._ff_cache = None
-            self._ff_sig = None
-            self._ff_last_demand = d.copy()
 
         dt = self._dt
         n_pdus = self._n_pdus
@@ -1212,56 +1088,6 @@ class VectorStepKernel:
                 )
             if "pdu_grid_bound_w" in t:
                 t["pdu_grid_bound_w"].append(np.where(ok, pdu_bound, nan))
-
-        # --- quiescent latch: arm on an observed fixed point -----------
-        if ff_track:
-            cur_sig = self._signature_arrays()
-            prev_sig = self._ff_sig
-            if (
-                prev_sig is not None
-                and not bool(np.any(alive & self.in_burst))
-                and all(
-                    np.array_equal(p, c)
-                    for p, c in zip(prev_sig, cur_sig)
-                )
-            ):
-                # This step mapped the batch state to itself under this
-                # demand, and no alive element reads the wall clock (no
-                # bursts), so the next identical-demand step is a bit-
-                # exact repeat.  Cache this step's accumulator adds,
-                # telemetry rows and outputs; arming implies no element
-                # failed this step, so the masks the banks advanced with
-                # all collapsed to the final ``ok``.
-                rows: Dict[str, np.ndarray] = {}
-                if self.telemetry is not None:
-                    for name in self.telemetry:
-                        if name == "time_s":
-                            continue
-                        rows[name] = self.telemetry[name][-1]
-                self._ff_armed = True
-                self._ff_cache = {
-                    "demand": d.copy(),
-                    "add_served": np.where(ok, served * dt, 0.0),
-                    "add_dropped": np.where(ok, dropped * dt, 0.0),
-                    "add_demand": np.where(ok, d * dt, 0.0),
-                    "add_cb": np.where(
-                        ok, np.where(sprinting, cb_overload_w, 0.0) * dt, 0.0
-                    ),
-                    "add_ups": np.where(ok, ups_total * dt, 0.0),
-                    "add_tes": np.where(ok, tes_saved_w * dt, 0.0),
-                    "tip_adds": [
-                        np.where(ok & (phase == code), dt, 0.0)
-                        for code in range(len(PHASE_ORDER))
-                    ],
-                    "advance": ok.copy(),
-                    "ok": ok.copy(),
-                    "rows": rows,
-                    "served_out": served_out,
-                }
-            else:
-                self._ff_sig = [np.copy(a) for a in cur_sig]
-                self._ff_armed = False
-                self._ff_cache = None
 
         self.steps_done += 1
         return served_out

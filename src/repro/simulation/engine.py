@@ -99,7 +99,7 @@ def run_simulation(
     fault_events: list = []
     aborted_at_s: Optional[float] = None
     if fault_plan is None:
-        # Span-compiled fast path: RLE spans + steady-cycle fast-forward,
+        # Span-compiled fast path: one step per sample over RLE spans,
         # bit-identical to per-sample stepping (the span differential
         # suite pins this).
         controller.run_trace(trace)

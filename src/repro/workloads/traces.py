@@ -41,14 +41,12 @@ class DemandSpan:
 
 @dataclass(frozen=True, slots=True)
 class SpanStats:
-    """RLE span statistics of a trace — the speedup predictor for the
-    span-compiled engine.
+    """RLE span statistics of a trace: how many constant-demand spans the
+    span-compiled engine splits it into, and how long they are.
 
-    ``predicted_ff_coverage`` is the fraction of samples that are *not* the
-    first sample of their span: the steady-cycle fast-forward can only ever
-    replay repeated-demand samples, so this is an upper bound on the share
-    of steps the engine may skip.  A fully jittered trace scores 0.0 (every
-    sample is its own span), a constant trace (n-1)/n.
+    The engine pays demand handling once per span and the step body once
+    per sample, so a fully jittered trace (every sample its own span) has
+    ``n_spans == n_samples`` and a constant trace one span.
     """
 
     n_samples: int
@@ -56,7 +54,6 @@ class SpanStats:
     mean_length: float
     p95_length: float
     max_length: int
-    predicted_ff_coverage: float
 
 
 @dataclass(frozen=True)
@@ -144,15 +141,12 @@ class Trace:
         starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
         bounds = np.concatenate(([0], starts, [samples.size]))
         lengths = np.diff(bounds)
-        n = int(samples.size)
-        n_spans = int(lengths.size)
         return SpanStats(
-            n_samples=n,
-            n_spans=n_spans,
+            n_samples=int(samples.size),
+            n_spans=int(lengths.size),
             mean_length=float(lengths.mean()),
             p95_length=float(np.percentile(lengths, 95.0)),
             max_length=int(lengths.max()),
-            predicted_ff_coverage=float(n - n_spans) / float(n),
         )
 
     # ------------------------------------------------------------------

@@ -98,14 +98,14 @@ class TestTamperSensitivity:
         assert any("2.4971" in f.message for f in findings)
 
     def test_hidden_cycle_cache_field_is_detected(self, real_sources):
-        # The steady-cycle detector must derive eligibility from the
-        # declared signature alone; stashing extra state on the
-        # controller (a hidden cycle cache) is exactly the drift the
+        # The step body must read only what the reference step reads;
+        # consulting other controller state (a hidden per-run cache, a
+        # degraded-mode field) is exactly the drift the
         # ALLOWED_KERNEL_ONLY ledger exists to surface.
         sources = tampered(
             real_sources,
-            "sig = self._quiescent_sig(ctrl)",
-            "sig = (ctrl._degraded_capacity, self._quiescent_sig(ctrl))",
+            "needed = span_needed\n",
+            "needed = ctrl._degraded_capacity or span_needed\n",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any(

@@ -1,21 +1,19 @@
 """Differential suite for the span-compiled trace engine.
 
-``StepKernel.run_trace`` compiles per-sample stepping into per-span
-stepping with steady-cycle fast-forward; its contract (like the rest of
-the kernel) is *bit-identity* with the reference controller.  This suite
-drives randomized traces built of long constant-demand spans — the shape
-the span engine accelerates — through every strategy kind the repo ships,
-with and without fault plans, and asserts every per-step telemetry field
-and every accumulator matches the reference exactly.  It also pins:
+``StepKernel.run_trace`` run-length-encodes a segment into
+constant-demand spans and steps every sample, paying demand handling once
+per span; its contract (like the rest of the kernel) is *bit-identity*
+with the reference controller.  This suite drives randomized traces built
+of long constant-demand spans — the shape the span engine compiles —
+through every strategy kind the repo ships, with and without fault plans,
+and asserts every per-step telemetry field and every accumulator matches
+the reference exactly.  It also covers:
 
-* an explicit k>1 steady cycle (PCM melt/refreeze oscillation) actually
-  replaying through :meth:`~repro.core.steplog.StepLog.extend_cycle`;
-* the cycle detector's miss budget, one per streak of eligible steps, on
-  a trace held at 60 s, and the replayed step counts of three traces;
+* traces that settle into a fixed point or a periodic orbit inside a
+  span: a flat trace, a k>1 PCM melt/refreeze cycle, the Yahoo trace held
+  at 60 s and the plateau trace of ``bench_span_engine.py``;
 * the path of faulted runs under every fault kind: span-engine segments
-  split at the fault boundaries, never a per-sample ``controller.step``;
-* the vector kernel's per-element quiescent latch arming, replaying
-  bit-identically, and disarming on demand changes and external writes.
+  split at the fault boundaries, never a per-sample ``controller.step``.
 """
 
 from __future__ import annotations
@@ -24,11 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.kernel import _RING_MISS_BUDGET, StepKernel
-from repro.core.steplog import StepLog
-from repro.core.strategies import FixedUpperBoundStrategy, GreedyStrategy
+from repro.core.strategies import GreedyStrategy
 from repro.errors import ConfigurationError
-from repro.simulation.batch_facility import BatchFacility
 from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import run_simulation
@@ -111,7 +106,6 @@ class TestSpanView:
         assert stats.n_spans == 1
         assert stats.mean_length == 100.0
         assert stats.max_length == 100
-        assert stats.predicted_ff_coverage == pytest.approx(0.99)
 
     def test_span_stats_alternating_trace(self):
         trace = Trace(
@@ -120,7 +114,6 @@ class TestSpanView:
         stats = trace.span_stats()
         assert stats.n_spans == 100
         assert stats.mean_length == 1.0
-        assert stats.predicted_ff_coverage == 0.0
 
 
 class TestSpanDifferential:
@@ -149,9 +142,9 @@ class TestSpanDifferential:
     def test_fault_mid_constant_span_disarm(self):
         """Satellite: a due fault event must end the running segment.
 
-        A long flat trace settles into a replayed idle fixed point; the
-        fault at t=200 lands mid-span, where a segment that ran on would
-        replay pre-fault state.  The engine cuts the segment at the fault
+        A long flat trace settles into an idle fixed point; the fault at
+        t=200 lands mid-span, where a segment that ran on would step with
+        pre-fault ratings.  The engine cuts the segment at the fault
         boundary, so the faulted run stays bit-identical to the reference.
         """
         trace = Trace(np.full(500, 0.6), dt_s=1.0, name="flat-faulted")
@@ -279,43 +272,27 @@ class TestFaultedSegments:
 
 
 class TestSteadyCycle:
-    def test_k1_cycle_replays_in_bulk(self, monkeypatch):
-        """An idle fixed point inside a span goes through extend_cycle."""
-        replays = []
-        original = StepLog.extend_cycle
+    """Traces that settle into a fixed point or a periodic orbit inside a
+    constant-demand span.  The engine steps every sample of them, and each
+    run must stay bit-identical to the reference."""
 
-        def spy(self, steps, repeats, times=None):
-            replays.append((len(steps), repeats))
-            original(self, steps, repeats, times)
-
-        monkeypatch.setattr(StepLog, "extend_cycle", spy)
+    def test_flat_trace_idle_fixed_point(self):
+        """A constant sub-capacity trace is one idle fixed point."""
         trace = Trace(np.full(400, 0.5), dt_s=1.0, name="flat")
         fast, ref = run_both(trace, "greedy")
         assert_results_identical(fast, ref)
-        assert replays, "no bulk replay on a 400-sample constant trace"
-        assert sum(k * r for k, r in replays) > 300
 
-    def test_k_greater_than_one_pcm_cycle(self, monkeypatch):
+    def test_k_greater_than_one_pcm_cycle(self):
         """PCM melt/refreeze oscillation forms a k>1 steady cycle.
 
         With a tiny PCM latent budget and demand just above capacity the
         chip sprints, exhausts the sink, caps to 1.0, refreezes, and
         sprints again — a multi-step periodic orbit inside one constant-
         demand span.  The orbit is float-exact because the PCM saturates
-        at both ends (fully melted, fully solid); the sprint must stay
-        within breaker ratings and chiller capacity so no other state
-        (trip fractions, room temperature) drifts asymptotically.  The
-        span engine must detect the period and replay whole cycles
-        bit-identically.
+        at both ends (fully melted, fully solid); the sprint stays within
+        breaker ratings and chiller capacity so no other state (trip
+        fractions, room temperature) drifts asymptotically.
         """
-        replays = []
-        original = StepLog.extend_cycle
-
-        def spy(self, steps, repeats, times=None):
-            replays.append((len(steps), repeats))
-            original(self, steps, repeats, times)
-
-        monkeypatch.setattr(StepLog, "extend_cycle", spy)
         config = DataCenterConfig(
             n_pdus=2,
             servers_per_pdu=50,
@@ -325,51 +302,30 @@ class TestSteadyCycle:
             chip_sprint_endurance_min=0.005,
         )
         trace = Trace(np.full(400, 1.1), dt_s=1.0, name="pcm-cycle")
-        strategy = GreedyStrategy()
         fast = run_simulation(
-            build_datacenter(config), trace, strategy, use_kernel=True
+            build_datacenter(config), trace, GreedyStrategy(), use_kernel=True
         )
         ref = run_simulation(
             build_datacenter(config), trace, GreedyStrategy(),
             use_kernel=False,
         )
         assert_results_identical(fast, ref)
-        multi = [(k, r) for k, r in replays if k > 1]
-        assert multi, (
-            f"expected a k>1 cycle replay, got only {replays!r}"
+        # The input really is a k>1 orbit: the tail repeats with a period
+        # of at least 5 steps and sprints in some of them.
+        degree = fast.steps.column("degree")[-200:]
+        period = next(
+            k for k in range(1, 100)
+            if np.array_equal(degree[k:], degree[:-k])
         )
-        assert max(k for k, _ in multi) >= 5
+        assert period >= 5
+        assert degree.max() > 1.0
 
-    @pytest.mark.parametrize(
-        "shape, replayed",
-        (("yahoo-held", 290), ("flat", 1798), ("plateaus", 192)),
-    )
-    def test_probe_budget_is_per_streak(self, shape, replayed, monkeypatch):
-        """The miss budget counts one streak of eligible steps across
-        span boundaries, so a run of short spans stops probing.
-
-        The Yahoo trace held at 60 s (per-minute monitoring data) cools
-        down after its burst in one-minute spans, shorter than the budget:
-        with a budget per span every post-burst step computed a signature
-        (777 of them) that never matched.  Per streak the probes stop after
-        the budget, and the same 290 steps still replay; the flat and
-        plateau traces of ``bench_span_engine.py`` keep their replays.
-        """
-        probes = []
-        replays = []
-        original_sig = StepKernel._quiescent_sig
-        original_extend = StepLog.extend_cycle
-
-        def sig_spy(self, ctrl):
-            probes.append(None)
-            return original_sig(self, ctrl)
-
-        def extend_spy(self, steps, repeats, times=None):
-            replays.append((len(steps), repeats))
-            original_extend(self, steps, repeats, times)
-
-        monkeypatch.setattr(StepKernel, "_quiescent_sig", sig_spy)
-        monkeypatch.setattr(StepLog, "extend_cycle", extend_spy)
+    @pytest.mark.parametrize("shape", ("yahoo-held", "flat", "plateaus"))
+    def test_held_and_plateau_shapes(self, shape):
+        """Default-facility shapes with long fixed stretches: the Yahoo
+        trace held at 60 s (per-minute monitoring data, which cools down
+        after its burst in one-minute spans), and the flat and plateau
+        traces of ``bench_span_engine.py``."""
         if shape == "yahoo-held":
             yahoo = generate_yahoo_trace(burst_degree=3.0, burst_duration_min=10)
             trace = yahoo.resampled(60.0).resampled(yahoo.dt_s)
@@ -387,8 +343,6 @@ class TestSteadyCycle:
         fast = run_simulation(
             build_datacenter(), trace, GreedyStrategy(), use_kernel=True
         )
-        assert len(probes) <= 2 * _RING_MISS_BUDGET
-        assert sum(k * r for k, r in replays) == replayed
         ref = run_simulation(
             build_datacenter(), trace, GreedyStrategy(), use_kernel=False
         )
@@ -427,142 +381,3 @@ def test_span_engine_property(seed, kind, with_fault):
     fast, ref = run_both(trace, kind, fault_plan=plan)
     assert_results_identical(fast, ref)
 
-
-class TestVectorLatch:
-    BOUNDS = (1.0, 1.8, 2.6, 3.4)
-
-    def _flat_trace(self, n=400, level=0.5):
-        return Trace(np.full(n, level), dt_s=1.0, name="flat")
-
-    def _run_unlatched(self, facility, trace, **kwargs):
-        """Reference batch run with the latch tracking suppressed."""
-        from repro.core.vector_kernel import VectorStepKernel
-
-        original = VectorStepKernel.step
-
-        def no_latch(self, demand, time_s):
-            self._ff_last_demand = None
-            self._ff_armed = False
-            self._ff_cache = None
-            self._ff_sig = None
-            return original(self, demand, time_s)
-
-        VectorStepKernel.step = no_latch
-        try:
-            return facility.run_fixed_bounds(trace, list(self.BOUNDS),
-                                             **kwargs)
-        finally:
-            VectorStepKernel.step = original
-
-    def test_arms_and_replays_bit_identically(self):
-        trace = self._flat_trace()
-        latched = BatchFacility(SMALL).run_fixed_bounds(
-            trace, list(self.BOUNDS), record_telemetry=True
-        )
-        plain = self._run_unlatched(
-            BatchFacility(SMALL), trace, record_telemetry=True
-        )
-        k1, k2 = latched.kernel, plain.kernel
-        assert k1._ff_armed, "constant demand never armed the latch"
-        assert np.array_equal(latched.served, plain.served)
-        assert np.array_equal(k1.served_integral, k2.served_integral)
-        assert np.array_equal(k1.dropped_integral, k2.dropped_integral)
-        assert np.array_equal(k1.demand_integral, k2.demand_integral)
-        assert np.array_equal(
-            k1.cb_overload_energy_j, k2.cb_overload_energy_j
-        )
-        assert np.array_equal(k1.ups_energy_j, k2.ups_energy_j)
-        assert np.array_equal(
-            k1.tes_electric_energy_j, k2.tes_electric_energy_j
-        )
-        for code in range(4):
-            assert np.array_equal(
-                k1.time_in_phase_s[code], k2.time_in_phase_s[code]
-            )
-        assert np.array_equal(k1.pdu.time_s, k2.pdu.time_s)
-        assert np.array_equal(k1.dc.time_s, k2.dc.time_s)
-        assert k1.telemetry is not None and k2.telemetry is not None
-        for name in k1.telemetry:
-            assert np.array_equal(
-                np.vstack(k1.telemetry[name]),
-                np.vstack(k2.telemetry[name]),
-                equal_nan=True,
-            ), name
-
-    def test_step_trace_bit_identity(self):
-        """A burst-and-plateau trace: latch on plateaus, disarm on edges."""
-        samples = np.concatenate(
-            [np.full(150, 0.5), np.full(100, 1.6), np.full(150, 0.5)]
-        )
-        trace = Trace(samples, dt_s=1.0, name="plateaus")
-        latched = BatchFacility(SMALL).run_fixed_bounds(
-            trace, list(self.BOUNDS), record_telemetry=True
-        )
-        plain = self._run_unlatched(
-            BatchFacility(SMALL), trace, record_telemetry=True
-        )
-        assert np.array_equal(latched.served, plain.served)
-        k1, k2 = latched.kernel, plain.kernel
-        assert k1.telemetry is not None and k2.telemetry is not None
-        for name in k1.telemetry:
-            assert np.array_equal(
-                np.vstack(k1.telemetry[name]),
-                np.vstack(k2.telemetry[name]),
-                equal_nan=True,
-            ), name
-
-    def test_demand_change_disarms(self):
-        from repro.simulation.datacenter import build_datacenter as build
-
-        dc = build(SMALL)
-        ctrl = dc.controller(FixedUpperBoundStrategy(1.0))
-        from repro.core.vector_kernel import VectorStepKernel
-
-        kernel = VectorStepKernel(
-            dc.cluster, dc.topology, dc.cooling, ctrl,
-            np.asarray(self.BOUNDS),
-        )
-        for i in range(10):
-            kernel.step(0.5, float(i))
-        assert kernel._ff_armed
-        kernel.step(0.9, 10.0)
-        assert not kernel._ff_armed
-
-    def test_clear_fast_forward_after_external_write(self):
-        """External derates must be preceded by clear_fast_forward."""
-        from repro.core.vector_kernel import VectorStepKernel
-        from repro.simulation.datacenter import build_datacenter as build
-
-        def make_kernel():
-            dc = build(SMALL)
-            ctrl = dc.controller(FixedUpperBoundStrategy(1.0))
-            return VectorStepKernel(
-                dc.cluster, dc.topology, dc.cooling, ctrl,
-                np.asarray(self.BOUNDS),
-            )
-
-        mutated = make_kernel()
-        for i in range(10):
-            mutated.step(0.5, float(i))
-        assert mutated._ff_armed
-        mutated.battery_energy_j = mutated.battery_energy_j * 0.5
-        mutated.clear_fast_forward()
-        assert not mutated._ff_armed
-        out_mutated = [
-            mutated.step(0.5, float(10 + i)) for i in range(5)
-        ]
-
-        fresh = make_kernel()
-        for i in range(10):
-            fresh.step(0.5, float(i))
-        fresh._ff_armed = False
-        fresh._ff_cache = None
-        fresh._ff_sig = None
-        fresh._ff_last_demand = None
-        fresh.battery_energy_j = fresh.battery_energy_j * 0.5
-        out_fresh = [fresh.step(0.5, float(10 + i)) for i in range(5)]
-        for a, b in zip(out_mutated, out_fresh):
-            assert np.array_equal(a, b)
-        assert np.array_equal(
-            mutated.battery_energy_j, fresh.battery_energy_j
-        )

@@ -144,6 +144,27 @@ def assert_element_matches(kernel, served_col, j, scalar: ScalarRun):
     assert int(kernel.violations[j]) == scalar.violations
 
 
+def assert_telemetry_matches(kernel, j, scalar: ScalarRun):
+    """Element ``j``'s telemetry columns must equal the scalar steps'."""
+    assert kernel.telemetry is not None
+    assert set(kernel.telemetry) == set(TELEMETRY_FIELDS)
+    for name in TELEMETRY_FIELDS:
+        column = np.array([row[j] for row in kernel.telemetry[name]])
+        if name == "phase":
+            expected = np.array(
+                [float(PHASE_ORDER.index(step.phase)) for step in scalar.history]
+            )
+        elif name == "in_burst":
+            expected = np.array(
+                [float(step.in_burst) for step in scalar.history]
+            )
+        else:
+            expected = np.array(
+                [getattr(step, name) for step in scalar.history]
+            )
+        assert np.array_equal(column, expected), name
+
+
 class TestVectorMatchesScalar:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_traces(self, seed):
@@ -188,31 +209,32 @@ class TestVectorMatchesScalar:
         served, kernel = vector_run(
             datacenter, trace.samples, dt, BOUNDS, record_telemetry=True
         )
-        assert kernel.telemetry is not None
-        assert set(kernel.telemetry) == set(TELEMETRY_FIELDS)
         for j, bound in enumerate(BOUNDS):
             scalar = ScalarRun(datacenter, trace.samples, dt, bound)
             assert scalar.fail_step < 0
-            for name in TELEMETRY_FIELDS:
-                column = np.array(
-                    [row[j] for row in kernel.telemetry[name]]
-                )
-                if name == "phase":
-                    expected = np.array(
-                        [
-                            float(PHASE_ORDER.index(step.phase))
-                            for step in scalar.history
-                        ]
-                    )
-                elif name == "in_burst":
-                    expected = np.array(
-                        [float(step.in_burst) for step in scalar.history]
-                    )
-                else:
-                    expected = np.array(
-                        [getattr(step, name) for step in scalar.history]
-                    )
-                assert np.array_equal(column, expected), name
+            assert_telemetry_matches(kernel, j, scalar)
+
+    @pytest.mark.parametrize(
+        "samples",
+        (
+            np.full(400, 0.5),
+            np.concatenate(
+                [np.full(150, 0.5), np.full(100, 1.6), np.full(150, 0.5)]
+            ),
+        ),
+        ids=("flat", "plateau"),
+    )
+    def test_constant_demand_spans(self, samples):
+        """Long constant-demand spans, where every element sits at a fixed
+        point for most of the run; the plateau adds a burst and its exit."""
+        datacenter = build_datacenter(SMALL)
+        served, kernel = vector_run(
+            datacenter, samples, 1.0, BOUNDS, record_telemetry=True
+        )
+        for j, bound in enumerate(BOUNDS):
+            scalar = ScalarRun(datacenter, samples, 1.0, bound)
+            assert_element_matches(kernel, served[:, j], j, scalar)
+            assert_telemetry_matches(kernel, j, scalar)
 
     def test_negative_demand_rejected(self):
         datacenter = build_datacenter(SMALL)

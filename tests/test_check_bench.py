@@ -85,6 +85,18 @@ class TestAbsoluteComparison:
         )
         assert run(fresh, baseline) == 0
 
+    def test_baseline_row_missing_from_fresh_run_fails(
+        self, tmp_path, baseline, capsys
+    ):
+        """A deleted or skipped benchmark must not pass the gate."""
+        fresh = write_results(tmp_path / "f.json", {"bench_full_ms_run": 15.0})
+        assert run(fresh, baseline) == 1
+        assert (
+            run(fresh, baseline, "--relative-to", "bench_full_ms_run") == 1
+        )
+        out = capsys.readouterr().out
+        assert "bench_oracle_search" in out and "missing" in out
+
 
 class TestRelativeComparison:
     def test_uniform_machine_slowdown_passes(self, tmp_path, baseline):

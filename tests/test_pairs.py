@@ -130,3 +130,12 @@ def test_verdict_rejects_bad_input():
         pairs.verdict([1.0], [1.0], "higher", 0.25)
     with pytest.raises(ValueError):
         pairs.verdict([1.0, 2.0], [1.0, 2.0], "sideways", 0.25)
+
+
+def test_out_path_names_the_parent_commit():
+    """Each parent commit gets its own file, so comparing the same
+    workload and seed against a later parent keeps the earlier evidence."""
+    commit = "5e36e5505bda556afaff27d354ce211c90763609"
+    path = pairs.out_path("paper", 7, commit)
+    assert path == pairs.OUT_DIR / "paper-7-5e36e55.json"
+    assert pairs.out_path("paper", 7, "1776635" + "0" * 33) != path
