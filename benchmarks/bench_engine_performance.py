@@ -11,7 +11,11 @@ from __future__ import annotations
 import math
 import time
 
-from repro.core.strategies import FixedUpperBoundStrategy, GreedyStrategy
+from repro.core.strategies import (
+    FixedUpperBoundStrategy,
+    GreedyStrategy,
+    first_wins_argmax,
+)
 from repro.errors import ReproError
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import (
@@ -30,11 +34,12 @@ from repro.workloads.yahoo_trace import generate_yahoo_trace
 PRE_KERNEL_STEPS_PER_SECOND = 8_439.0
 
 
-def _reference_search_seconds(trace, candidates, fault_plan=None) -> float:
-    """Wall time of the pre-fork reference Oracle: one full simulation per
-    candidate (NaN on failure), exactly what PR 3 shipped."""
+def _reference_search(trace, candidates, fault_plan=None):
+    """The pre-fork reference Oracle: one full simulation per candidate
+    (NaN on failure), strict first-wins argmax.  Returns its wall time and
+    the winning bound."""
     start = time.perf_counter()
-    best = -math.inf
+    performances = []
     for bound in candidates:
         try:
             result = simulate_strategy(
@@ -43,10 +48,13 @@ def _reference_search_seconds(trace, candidates, fault_plan=None) -> float:
                 fault_plan=fault_plan,
             )
         except ReproError:
+            performances.append(math.nan)
             continue
-        best = max(best, result.average_performance)
-    assert best > -math.inf
-    return time.perf_counter() - start
+        performances.append(result.average_performance)
+    seconds = time.perf_counter() - start
+    best = first_wins_argmax(performances)
+    assert best is not None
+    return seconds, float(candidates[best])
 
 
 def bench_single_controller_step(benchmark):
@@ -125,7 +133,7 @@ def bench_oracle_search_13_candidates(benchmark):
         rounds=1,
         iterations=1,
     )
-    reference_s = _reference_search_seconds(trace, DEFAULT_ORACLE_GRID)
+    reference_s, _ = _reference_search(trace, DEFAULT_ORACLE_GRID)
     fast_s = benchmark.stats.stats.mean
     benchmark.extra_info["reference_seconds"] = reference_s
     benchmark.extra_info["speedup_vs_reference"] = reference_s / fast_s
@@ -156,10 +164,10 @@ def bench_upper_bound_table_cold(benchmark):
         iterations=1,
     )
     reference_s = sum(
-        _reference_search_seconds(
+        _reference_search(
             generate_yahoo_trace(burst_degree=deg, burst_duration_min=dur),
             DEFAULT_ORACLE_GRID,
-        )
+        )[0]
         for dur in durations
         for deg in degrees
     )

@@ -32,7 +32,10 @@ The traversal intentionally over-approximates (it follows every resolvable
 call); divergences that are *by design* are listed in
 :data:`ALLOWED_REFERENCE_ONLY` / :data:`ALLOWED_KERNEL_ONLY` with a
 mandatory reason string — that is this rule's explicit allowlist, kept in
-code review's line of sight rather than in suppression comments.
+code review's line of sight rather than in suppression comments.  The
+allowlists are audited like snapshot-coverage's: an entry that excuses
+no divergence of the current read sets, or that has an empty reason, is
+a finding too.
 
 PR 7 adds a second contract layer: :class:`VectorStepKernel`
 (``core/vector_kernel.py``) must replay the *scalar kernel* bit-for-bit
@@ -123,8 +126,8 @@ ALLOWED_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
         "the reference receives time_s precomputed by its caller"
     ),
     ("PhaseTracker", "current_phase"): (
-        "deferred accumulators: a quiet run loads the tracker's phase "
-        "into a local at run start and writes it back once at run end; "
+        "deferred accumulators: every segment loads the tracker's phase "
+        "into a local at its start and writes it back once at its end; "
         "the reference only ever assigns the attribute per step"
     ),
 }
@@ -188,13 +191,10 @@ ALLOWED_SCALAR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
 }
 
 #: Vector-kernel reads with no scalar counterpart, by design.
-ALLOWED_VECTOR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
-    ("PhaseTracker", "current_phase"): (
-        "the vector kernel seeds its per-element phase codes from the "
-        "live tracker's phase at construction; the scalar kernel keeps "
-        "the tracker object itself and only assigns to it"
-    ),
-}
+ALLOWED_VECTOR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {}
+
+#: One allowlist audit: its name, its entries, the divergences it may excuse.
+_Audit = Tuple[str, Dict[Tuple[str, str], str], Set[Tuple[str, str]]]
 
 #: Structural literals (loop counts, unit steps, signs) that both sides
 #: use freely and carry no configuration content.
@@ -584,22 +584,6 @@ class KernelDriftRule(Rule):
             vector = None
         kernel_files = [kernel] if vector is None else [kernel, vector]
 
-        findings: List[Finding] = []
-        findings.extend(self._check_read_sets(registry, kernel))
-        findings.extend(self._check_constructions(registry, kernel, controller))
-        findings.extend(self._check_constants(sources, kernel, kernel_files))
-        if vector is not None:
-            findings.extend(self._check_vector_read_sets(registry, vector))
-            findings.extend(self._check_telemetry_fields(registry, vector))
-            findings.extend(
-                self._check_constants(sources, vector, kernel_files)
-            )
-        return findings
-
-    # -- attribute-read comparison -------------------------------------
-    def _check_read_sets(
-        self, registry: _Registry, kernel: SourceFile
-    ) -> List[Finding]:
         ref_reads = _filtered(
             collect_reads(
                 registry, [("SprintingController", "_step_reference")]
@@ -611,6 +595,94 @@ class KernelDriftRule(Rule):
                 [("StepKernel", "__init__"), ("StepKernel", "_run")],
             )
         )
+        findings: List[Finding] = []
+        findings.extend(self._check_read_sets(ref_reads, kernel_reads, kernel))
+        findings.extend(self._check_constructions(registry, kernel, controller))
+        findings.extend(self._check_constants(sources, kernel, kernel_files))
+        # Each allowlist with the divergences it may excuse.
+        audits: List[_Audit] = [
+            (
+                "ALLOWED_REFERENCE_ONLY",
+                ALLOWED_REFERENCE_ONLY,
+                set(ref_reads) - set(kernel_reads),
+            ),
+            (
+                "ALLOWED_KERNEL_ONLY",
+                ALLOWED_KERNEL_ONLY,
+                set(kernel_reads) - set(ref_reads),
+            ),
+        ]
+        if vector is not None:
+            vector_reads = _filtered_with(
+                collect_reads(
+                    registry,
+                    [
+                        ("VectorStepKernel", "__init__"),
+                        ("VectorStepKernel", "step"),
+                    ],
+                ),
+                VECTOR_OWN_CLASSES,
+            )
+            findings.extend(
+                self._check_vector_read_sets(kernel_reads, vector_reads, vector)
+            )
+            findings.extend(self._check_telemetry_fields(registry, vector))
+            findings.extend(
+                self._check_constants(sources, vector, kernel_files)
+            )
+            audits.append(
+                (
+                    "ALLOWED_SCALAR_KERNEL_ONLY",
+                    ALLOWED_SCALAR_KERNEL_ONLY,
+                    set(kernel_reads) - set(vector_reads),
+                )
+            )
+            audits.append(
+                (
+                    "ALLOWED_VECTOR_KERNEL_ONLY",
+                    ALLOWED_VECTOR_KERNEL_ONLY,
+                    set(vector_reads) - set(kernel_reads),
+                )
+            )
+        findings.extend(self._audit_allowlists(kernel, audits))
+        return findings
+
+    # -- allowlist audit -----------------------------------------------
+    def _audit_allowlists(
+        self, kernel: SourceFile, audits: Sequence[_Audit]
+    ) -> List[Finding]:
+        """Stale or reason-less allowlist entries are findings too."""
+        findings: List[Finding] = []
+        for name, allowlist, divergent in audits:
+            for key, reason in sorted(allowlist.items()):
+                entry = f"{name}[({key[0]!r}, {key[1]!r})]"
+                problems = []
+                if not reason.strip():
+                    problems.append(
+                        f"{entry} has an empty reason; every allowlist "
+                        "entry must say why the divergence is by design"
+                    )
+                if key not in divergent:
+                    problems.append(
+                        f"stale allowlist entry: {entry} excuses no "
+                        "divergence of the current read sets — remove it "
+                        "from src/repro/analysis/kernel_drift.py"
+                    )
+                findings.extend(
+                    Finding(
+                        rule=self.rule_id,
+                        path=kernel.display_path,
+                        line=1,
+                        message=message,
+                    )
+                    for message in problems
+                )
+        return findings
+
+    # -- attribute-read comparison -------------------------------------
+    def _check_read_sets(
+        self, ref_reads: ReadSet, kernel_reads: ReadSet, kernel: SourceFile
+    ) -> List[Finding]:
         findings: List[Finding] = []
         for key in sorted(set(ref_reads) - set(kernel_reads)):
             if key in ALLOWED_REFERENCE_ONLY:
@@ -651,24 +723,8 @@ class KernelDriftRule(Rule):
 
     # -- vector-kernel attribute-read comparison ------------------------
     def _check_vector_read_sets(
-        self, registry: _Registry, vector: SourceFile
+        self, scalar_reads: ReadSet, vector_reads: ReadSet, vector: SourceFile
     ) -> List[Finding]:
-        scalar_reads = _filtered(
-            collect_reads(
-                registry,
-                [("StepKernel", "__init__"), ("StepKernel", "_run")],
-            )
-        )
-        vector_reads = _filtered_with(
-            collect_reads(
-                registry,
-                [
-                    ("VectorStepKernel", "__init__"),
-                    ("VectorStepKernel", "step"),
-                ],
-            ),
-            VECTOR_OWN_CLASSES,
-        )
         findings: List[Finding] = []
         for key in sorted(set(scalar_reads) - set(vector_reads)):
             if key in ALLOWED_SCALAR_KERNEL_ONLY:

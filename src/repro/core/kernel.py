@@ -325,134 +325,8 @@ class StepKernel:
         tes.total_absorbed_j += needed
 
     # ------------------------------------------------------------------
-    # Controller internals (inlined _fit_power / _fit_thermal)
+    # Controller internals (inlined _fit_thermal)
     # ------------------------------------------------------------------
-    def _fit_power(
-        self,
-        degree: float,
-        use_tes: bool,
-        dt: float,
-        reserve: float,
-        ups_floor_per_pdu_j: float,
-    ) -> Tuple[float, float, float]:
-        # The step hot path runs this once (twice when thermal intervenes)
-        # per control period, so the helper calls of the original loop —
-        # power at degree, the cooling split, max_load_for_trip_time — are
-        # inlined here with bit-identical op order, and every mutable
-        # attribute is read through a hoisted object reference (values are
-        # still read fresh each iteration: fault injection mutates them).
-        battery = self._battery
-        n_batteries = self._n_batteries
-        n_pdus = self._n_pdus
-        pdu_breaker = self._pdu_breaker
-        dc_breaker = self._dc_breaker
-        pdu_c = self._pdu_consts
-        dc_c = self._dc_consts
-        tes = self._tes
-        room = self._room
-        chiller = self._chiller
-        setpoint = self._setpoint
-        room_hc = self._room_hc
-        room_tau = self._room_tau
-        overhead = self._overhead
-        aux_share = self._aux_share
-        normal_cores = self._normal_cores
-        total_cores_f = self._total_cores_f
-        chip_max_eps = self._chip_max_eps
-        pdu_bound = 0.0
-        cooling_w = 0.0
-        for _ in range(3):
-            # --- inlined _power_at_degree (fast path) -------------------
-            # min/max calls on this path are written as conditionals: for
-            # non-NaN floats ``a if a <= b else b`` is exactly ``min(a, b)``
-            # (both keep the first argument on ties) and ``x if x > 0.0
-            # else 0.0`` is exactly ``max(0.0, x)``.
-            if 0.0 <= degree <= chip_max_eps:
-                active = degree * normal_cores
-                if active > total_cores_f:
-                    active = total_cores_f
-                it_power = self._n_servers * (
-                    self._non_cpu_power_w
-                    + (self._idle_chip_power_w + self._core_power_w * active)
-                )
-            else:
-                it_power = self._power_at_degree(degree)
-            # --- inlined cooling split (CoolingPlant.estimate) ----------
-            heat_via_tes = 0.0
-            if use_tes and tes is not None:
-                energy = tes.energy_j
-                avail = 0.0 if energy <= 1e-9 else tes.max_discharge_w
-                heat_via_tes = min(it_power, avail, energy / dt)
-                heat_via_tes = max(0.0, heat_via_tes)
-            remaining = it_power - heat_via_tes
-            excess_k = room.temperature_c - setpoint
-            if excess_k <= 0.0:
-                recovery = 0.0
-            else:
-                recovery = room_hc * excess_k / room_tau
-            heat_via_chiller = remaining + recovery
-            if heat_via_chiller > chiller.rated_removal_w:
-                heat_via_chiller = chiller.rated_removal_w
-            cooling_w = overhead * (
-                heat_via_chiller + aux_share * heat_via_tes
-            )
-            # --- inlined max_load_for_trip_time (both breakers) ---------
-            if pdu_breaker.tripped:
-                own = 0.0
-            else:
-                head = 1.0 - pdu_breaker.trip_fraction
-                if head <= 0.0:
-                    own = math.nextafter(pdu_breaker.rated_power_w, 0.0)
-                else:
-                    t = reserve / head
-                    if t <= pdu_c.inst_time:
-                        o = pdu_c.inst_o
-                    else:
-                        o = math.sqrt(pdu_c.K / t)
-                        if o < pdu_c.hold_lo:
-                            o = pdu_c.hold_lo
-                        if o > pdu_c.inst_cap:
-                            o = pdu_c.inst_cap
-                    own = pdu_breaker.rated_power_w * (1.0 + o)
-            if dc_breaker.tripped:
-                parent_total = 0.0
-            else:
-                head = 1.0 - dc_breaker.trip_fraction
-                if head <= 0.0:
-                    parent_total = math.nextafter(
-                        dc_breaker.rated_power_w, 0.0
-                    )
-                else:
-                    t = reserve / head
-                    if t <= dc_c.inst_time:
-                        o = dc_c.inst_o
-                    else:
-                        o = math.sqrt(dc_c.K / t)
-                        if o < dc_c.hold_lo:
-                            o = dc_c.hold_lo
-                        if o > dc_c.inst_cap:
-                            o = dc_c.inst_cap
-                    parent_total = dc_breaker.rated_power_w * (1.0 + o)
-            parent_share = parent_total - cooling_w
-            parent_share = (
-                parent_share if parent_share > 0.0 else 0.0
-            ) / n_pdus
-            pdu_bound = own if own <= parent_share else parent_share
-            usable_j = battery.energy_j * n_batteries - ups_floor_per_pdu_j
-            if usable_j < 0.0:
-                usable_j = 0.0
-            if battery.energy_j <= 1e-9:
-                avail_w = 0.0 * n_batteries
-            else:
-                avail_w = battery.max_discharge_power_w * n_batteries
-            usable_w = usable_j / dt
-            ups_power = avail_w if avail_w <= usable_w else usable_w
-            available = (pdu_bound + ups_power) * n_pdus
-            if it_power <= available * (1.0 + 1e-12):
-                break
-            degree = min(degree, self._degree_for_power(available))
-        return degree, pdu_bound, cooling_w
-
     def _fit_thermal(
         self,
         ctrl: SprintingController,
@@ -460,8 +334,8 @@ class StepKernel:
         use_tes: bool,
         time_s: float,
     ) -> Tuple[float, bool]:
-        if self._threshold - self._room.temperature_c > ctrl.settings.thermal_margin_k:
-            return degree, use_tes
+        # The step body calls this only once the room's headroom is at or
+        # below the thermal margin (it tests the margin inline).
         removal = self._chiller.rated_removal_w
         tes = self._tes
         if tes is not None and not tes.energy_j <= 1e-9:
@@ -525,7 +399,8 @@ class StepKernel:
     ) -> Optional[ControlStep]:
         """The step body: a segment of ``trace``, or the one sample
         ``demand`` at ``time_s`` when ``trace`` is None (returning its
-        ``ControlStep``).  Per-sample orchestration is compiled out:
+        ``ControlStep``).  Each step does only the work that can change
+        its result:
 
         * the segment is run-length-encoded into constant-demand spans, so
           demand handling and span-invariant products are paid per span
@@ -536,6 +411,17 @@ class StepKernel:
           EB/EB, which is exactly 1.0 whenever the UPS holds charge, so
           ``_remaining_j``'s trip-curve solve runs there only on an empty
           battery;
+        * one power fit prices each degree (IT power, then the cooling
+          split) and the commit reuses the last pricing; the thermal fit
+          runs only once the room's headroom reaches the margin;
+        * the breakers' and the room's decay factors are segment
+          constants, and a breaker in its hold region is updated inline;
+        * the admission integrals, phase energies, time-in-phase and
+          current phase live in locals and are written back in the
+          ``finally`` (also when a step raises): every per-step add still
+          happens in the reference order, so the values are bit-identical
+          at every segment boundary (see :class:`SprintingStrategy` for
+          the contract this relies on);
         * telemetry rows are written straight into the ``StepLog`` columns,
           through memoryviews taken once per segment after
           ``history.reserve`` (a float store through a memoryview skips
@@ -579,13 +465,14 @@ class StepKernel:
         room = self._room
         history = ctrl.history
         reserve = settings.reserve_trip_time_s
+        thermal_margin = settings.thermal_margin_k
         tes_activation = ctrl.tes_activation_s
         voltage = self._voltage_v
         max_degree = self._tp_max_degree
         pdu_breaker = self._pdu_breaker
         dc_breaker = self._dc_breaker
-        pdu_consts = self._pdu_consts
-        dc_consts = self._dc_consts
+        pdu_c = self._pdu_consts
+        dc_c = self._dc_consts
         chiller = self._chiller
         overhead = self._overhead
         aux_share = self._aux_share
@@ -607,13 +494,20 @@ class StepKernel:
         # engine applies between segments (strategy rollouts that fork the
         # facility restore it bit-for-bit before returning), so the UPS
         # floor and per-battery capacity are computed once per segment with
-        # exactly the reference's op order.
+        # exactly the reference's op order.  The decay factors depend only
+        # on ``dt`` and frozen time constants: the same expressions the
+        # reference evaluates every step.
         battery_capacity_j = battery.capacity_ah * voltage * SECONDS_PER_HOUR
         ups_floor_total = settings.ups_outage_reserve_fraction * (
             (battery.capacity_ah * voltage * SECONDS_PER_HOUR * n_batteries)
             * n_pdus
         )
         ups_floor_per_pdu = ups_floor_total / n_pdus
+        pdu_hold_hi = pdu_c.hold_hi
+        dc_hold_hi = dc_c.hold_hi
+        pdu_cool = math.exp(-dt / pdu_c.cooldown_tau)
+        dc_cool = math.exp(-dt / dc_c.cooldown_tau)
+        room_decay = 1.0 - 2.718281828459045 ** (-dt / room_tau)
 
         const_bound = strategy.bound_if_constant(max_degree)
         # The base notify_realized is a documented no-op; skipping the
@@ -622,14 +516,6 @@ class StepKernel:
             type(strategy).notify_realized
             is not SprintingStrategy.notify_realized
         )
-        # A constant-bound strategy with the no-op notify never observes
-        # the controller mid-run.  That enables the deferred accumulators
-        # below: the admission integrals, phase energies and time-in-phase
-        # live in locals for the whole run and are written back (also on
-        # exceptions) in the ``finally`` block — every per-step add still
-        # happens, in the reference order, so the final values are
-        # bit-identical.
-        quiet_run = const_bound is not None and not notify_is_real
 
         # Memoryviews of the columns, taken after the reserve so no row of
         # this segment reallocates under them.
@@ -661,8 +547,8 @@ class StepKernel:
         )
         row = history._n
 
-        # Deferred accumulators (see ``quiet_run`` above).  Initial values
-        # are the live ones so mid-sequence runs keep accumulating.
+        # Deferred accumulators, seeded with the live values so
+        # consecutive segments keep accumulating.
         served_acc = admission.served_integral
         dropped_acc = admission.dropped_integral
         demand_acc = admission.demand_integral
@@ -793,76 +679,145 @@ class StepKernel:
                         and degree > _SPRINT_THRESHOLD
                     )
 
-                    degree, pdu_bound, _ = self._fit_power(
-                        degree, use_tes, dt, reserve, ups_floor_per_pdu
-                    )
-                    t_degree, t_use_tes = self._fit_thermal(
-                        ctrl, degree, use_tes, time_s
-                    )
-                    if t_degree != degree or t_use_tes != use_tes:
-                        # Thermal changed the operating point: re-fit power.
-                        # When it did not, the second fit would re-run with
-                        # bit-identical arguments against unmutated substrate
-                        # (``_fit_thermal`` only ever records a safety event,
-                        # which the fit never reads), so it is skipped.
+                    # --- power and thermal fit (inlined _fit_power, the
+                    # cooling split and max_load_for_trip_time) -------------
+                    # Each pass prices the degree (IT power, then the cooling
+                    # split) and checks it against what the breakers and the
+                    # UPS can source; a failed check shrinks the degree.  The
+                    # reference commits at the degree its three checks leave,
+                    # so after three failures a fourth pass only prices the
+                    # shrunken degree.  The commit reuses the last pricing;
+                    # pdu_bound is the last checked pass's.  Once the fit is
+                    # done the thermal fit may move the operating point, and
+                    # then the fit runs once more.  When it does not, the
+                    # reference's second fit would re-run with bit-identical
+                    # arguments against unmutated substrate (``_fit_thermal``
+                    # only ever records a safety event, which the fit never
+                    # reads), so it is skipped.  min/max calls are written as
+                    # conditionals: for non-NaN floats ``a if a <= b else b``
+                    # is exactly ``min(a, b)`` (both keep the first argument
+                    # on ties) and ``x if x > 0.0 else 0.0`` is exactly
+                    # ``max(0.0, x)``.
+                    checks = 0
+                    thermal_pending = True
+                    while True:
+                        if 0.0 <= degree <= chip_max_eps:
+                            active = degree * normal_cores
+                            if active > total_cores_f:
+                                active = total_cores_f
+                            it_power = n_servers * (
+                                non_cpu_power_w
+                                + (idle_chip_power_w + core_power_w * active)
+                            )
+                        else:
+                            it_power = self._power_at_degree(degree)
+                        heat_via_tes = 0.0
+                        if use_tes and tes is not None:
+                            energy = tes.energy_j
+                            avail = 0.0 if energy <= 1e-9 else tes.max_discharge_w
+                            heat_via_tes = min(it_power, avail, energy / dt)
+                            heat_via_tes = max(0.0, heat_via_tes)
+                        excess_k = room.temperature_c - setpoint
+                        if excess_k <= 0.0:
+                            recovery = 0.0
+                        else:
+                            recovery = room_hc * excess_k / room_tau
+                        heat_via_chiller = (it_power - heat_via_tes) + recovery
+                        if heat_via_chiller > chiller.rated_removal_w:
+                            heat_via_chiller = chiller.rated_removal_w
+                        cooling_electric = overhead * (
+                            heat_via_chiller + aux_share * heat_via_tes
+                        )
+                        if checks < 3:
+                            if pdu_breaker.tripped:
+                                own = 0.0
+                            else:
+                                head = 1.0 - pdu_breaker.trip_fraction
+                                if head <= 0.0:
+                                    own = math.nextafter(
+                                        pdu_breaker.rated_power_w, 0.0
+                                    )
+                                else:
+                                    t = reserve / head
+                                    if t <= pdu_c.inst_time:
+                                        o = pdu_c.inst_o
+                                    else:
+                                        o = math.sqrt(pdu_c.K / t)
+                                        if o < pdu_c.hold_lo:
+                                            o = pdu_c.hold_lo
+                                        if o > pdu_c.inst_cap:
+                                            o = pdu_c.inst_cap
+                                    own = pdu_breaker.rated_power_w * (1.0 + o)
+                            if dc_breaker.tripped:
+                                parent_total = 0.0
+                            else:
+                                head = 1.0 - dc_breaker.trip_fraction
+                                if head <= 0.0:
+                                    parent_total = math.nextafter(
+                                        dc_breaker.rated_power_w, 0.0
+                                    )
+                                else:
+                                    t = reserve / head
+                                    if t <= dc_c.inst_time:
+                                        o = dc_c.inst_o
+                                    else:
+                                        o = math.sqrt(dc_c.K / t)
+                                        if o < dc_c.hold_lo:
+                                            o = dc_c.hold_lo
+                                        if o > dc_c.inst_cap:
+                                            o = dc_c.inst_cap
+                                    parent_total = dc_breaker.rated_power_w * (1.0 + o)
+                            parent_share = parent_total - cooling_electric
+                            parent_share = (
+                                parent_share if parent_share > 0.0 else 0.0
+                            ) / n_pdus
+                            pdu_bound = own if own <= parent_share else parent_share
+                            usable_j = (
+                                battery.energy_j * n_batteries - ups_floor_per_pdu
+                            )
+                            if usable_j < 0.0:
+                                usable_j = 0.0
+                            if battery.energy_j <= 1e-9:
+                                avail_w = 0.0 * n_batteries
+                            else:
+                                avail_w = battery.max_discharge_power_w * n_batteries
+                            usable_w = usable_j / dt
+                            ups_power = avail_w if avail_w <= usable_w else usable_w
+                            available = (pdu_bound + ups_power) * n_pdus
+                            if not it_power <= available * (1.0 + 1e-12):
+                                degree = min(degree, self._degree_for_power(available))
+                                checks += 1
+                                continue
+                        if not thermal_pending:
+                            break
+                        thermal_pending = False
+                        if threshold - room.temperature_c > thermal_margin:
+                            break
+                        t_degree, t_use_tes = self._fit_thermal(
+                            ctrl, degree, use_tes, time_s
+                        )
+                        if t_degree == degree and t_use_tes == use_tes:
+                            break
                         degree = t_degree
                         use_tes = t_use_tes
-                        degree, pdu_bound, _ = self._fit_power(
-                            degree, use_tes, dt, reserve, ups_floor_per_pdu
-                        )
+                        checks = 0
 
                     # --- commit (inlined SprintingController._commit) --------
-                    # _power_at_degree inlined on its validity fast path (the
-                    # degree is already bounded by the fits); identical op
-                    # order: n_servers * (non_cpu + (idle + core * active)).
-                    if 0.0 <= degree <= chip_max_eps:
-                        active_cores = degree * normal_cores
-                        if active_cores > total_cores_f:
-                            active_cores = total_cores_f
-                        it_power = n_servers * (
-                            non_cpu_power_w
-                            + (idle_chip_power_w + core_power_w * active_cores)
-                        )
-                    else:
-                        it_power = self._power_at_degree(degree)
-                    # --- inlined cooling split ---------------------------
-                    heat_via_tes = 0.0
-                    if use_tes and tes is not None:
-                        energy = tes.energy_j
-                        avail = 0.0 if energy <= 1e-9 else tes.max_discharge_w
-                        heat_via_tes = min(it_power, avail, energy / dt)
-                        heat_via_tes = max(0.0, heat_via_tes)
-                    remaining_heat = it_power - heat_via_tes
-                    excess_k = room.temperature_c - setpoint
-                    if excess_k <= 0.0:
-                        recovery = 0.0
-                    else:
-                        recovery = room_hc * excess_k / room_tau
-                    heat_via_chiller = remaining_heat + recovery
-                    if heat_via_chiller > chiller.rated_removal_w:
-                        heat_via_chiller = chiller.rated_removal_w
-                    cooling_electric = overhead * (
-                        heat_via_chiller + aux_share * heat_via_tes
-                    )
                     if heat_via_tes > 0.0:
                         self._tes_absorb(heat_via_tes, dt)
-                    # --- inlined Room.step --------------------------------
+                    # --- inlined Room.step (the TES draw leaves the room
+                    # temperature, so the fit's excess_k still holds) -------
                     gap_w = it_power - (heat_via_chiller + heat_via_tes)
                     if gap_w >= 0.0:
                         room.temperature_c += gap_w * dt / room_hc
-                    else:
-                        excess_k = room.temperature_c - setpoint
-                        if excess_k > 0.0:
-                            decay = 1.0 - 2.718281828459045 ** (
-                                -dt / room_tau
-                            )
-                            cooling_capacity_k = -gap_w * dt / room_hc
-                            drop_k = excess_k * decay
-                            room.temperature_c -= (
-                                drop_k
-                                if drop_k <= cooling_capacity_k
-                                else cooling_capacity_k
-                            )
+                    elif excess_k > 0.0:
+                        cooling_capacity_k = -gap_w * dt / room_hc
+                        drop_k = excess_k * room_decay
+                        room.temperature_c -= (
+                            drop_k
+                            if drop_k <= cooling_capacity_k
+                            else cooling_capacity_k
+                        )
                     temperature = room.temperature_c
                     if temperature > room.peak_temperature_c:
                         room.peak_temperature_c = temperature
@@ -919,12 +874,34 @@ class StepKernel:
                     deficit_per_pdu = per_pdu_demand - grid_w - ups_w
                     if deficit_per_pdu < 0.0:
                         deficit_per_pdu = 0.0
-                    self._breaker_step(pdu_breaker, pdu_consts, grid_w, dt)
+                    # Breakers: the hold region (not tripped, load within
+                    # hold_hi of the rating; a NaN ratio fails the test)
+                    # inlined from _breaker_step, which keeps the tripped
+                    # and overload branches.  A negative overload, which
+                    # _breaker_step clamps to 0, passes the test either way:
+                    # hold_hi is never negative.
+                    if (
+                        not pdu_breaker.tripped
+                        and grid_w / pdu_breaker.rated_power_w - 1.0 <= pdu_hold_hi
+                    ):
+                        if grid_w < pdu_breaker.rated_power_w:
+                            pdu_breaker.trip_fraction *= pdu_cool
+                        pdu_breaker._time_s += dt
+                    else:
+                        self._breaker_step(pdu_breaker, pdu_c, grid_w, dt)
                     pdu_grid_total = grid_w * n_pdus
                     ups_total = ups_w * n_pdus
                     deficit_total = deficit_per_pdu * n_pdus
                     dc_feed = pdu_grid_total + cooling_electric
-                    self._breaker_step(dc_breaker, dc_consts, dc_feed, dt)
+                    if (
+                        not dc_breaker.tripped
+                        and dc_feed / dc_breaker.rated_power_w - 1.0 <= dc_hold_hi
+                    ):
+                        if dc_feed < dc_breaker.rated_power_w:
+                            dc_breaker.trip_fraction *= dc_cool
+                        dc_breaker._time_s += dt
+                    else:
+                        self._breaker_step(dc_breaker, dc_c, dc_feed, dt)
 
                     # --- admission + telemetry -------------------------------
                     effective_power = it_power - deficit_total
@@ -963,49 +940,32 @@ class StepKernel:
                     if tes_saved_w < 0.0:
                         tes_saved_w = 0.0
 
+                    # The accumulator adds: independent sums, so their order
+                    # against each other leaves every value unchanged.
                     sprinting = effective_degree > _SPRINT_THRESHOLD
                     if not sprinting:
                         phase = _IDLE
                         phase_code = _CODE_IDLE
+                        tip_idle += dt
                     elif heat_via_tes > _ACTIVE_POWER_EPS_W:
                         phase = _PHASE3
                         phase_code = _CODE_PHASE3
+                        tip_p3 += dt
                     elif ups_total > _ACTIVE_POWER_EPS_W:
                         phase = _PHASE2
                         phase_code = _CODE_PHASE2
+                        tip_p2 += dt
                     else:
                         phase = _PHASE1
                         phase_code = _CODE_PHASE1
-                    # The admission integrals moved here from before the
-                    # overload block: adds to independent accumulators
-                    # commute, so the values are unchanged.
-                    if quiet_run:
-                        served_acc += served * dt
-                        dropped_acc += dropped * dt
-                        demand_acc += demand_dt
-                        cb_acc += (cb_overload_w if sprinting else 0.0) * dt
-                        ups_acc += ups_total * dt
-                        tes_acc += tes_saved_w * dt
-                        if phase is _IDLE:
-                            tip_idle += dt
-                        elif phase is _PHASE1:
-                            tip_p1 += dt
-                        elif phase is _PHASE2:
-                            tip_p2 += dt
-                        else:
-                            tip_p3 += dt
-                        last_phase = phase
-                    else:
-                        admission.served_integral += served * dt
-                        admission.dropped_integral += dropped * dt
-                        admission.demand_integral += demand_dt
-                        phases.current_phase = phase
-                        phases.time_in_phase_s[phase] += dt
-                        phases.cb_overload_energy_j += (
-                            cb_overload_w if sprinting else 0.0
-                        ) * dt
-                        phases.ups_energy_j += ups_total * dt
-                        phases.tes_electric_energy_j += tes_saved_w * dt
+                        tip_p1 += dt
+                    last_phase = phase
+                    served_acc += served * dt
+                    dropped_acc += dropped * dt
+                    demand_acc += demand_dt
+                    cb_acc += (cb_overload_w if sprinting else 0.0) * dt
+                    ups_acc += ups_total * dt
+                    tes_acc += tes_saved_w * dt
 
                     # --- telemetry row (direct StepLog column writes) --------
                     col_time[row] = time_s
@@ -1087,16 +1047,18 @@ class StepKernel:
         finally:
             for view in views:
                 view.release()
-            if quiet_run:
-                admission.served_integral = served_acc
-                admission.dropped_integral = dropped_acc
-                admission.demand_integral = demand_acc
-                phases.cb_overload_energy_j = cb_acc
-                phases.ups_energy_j = ups_acc
-                phases.tes_electric_energy_j = tes_acc
-                tip[_IDLE] = tip_idle
-                tip[_PHASE1] = tip_p1
-                tip[_PHASE2] = tip_p2
-                tip[_PHASE3] = tip_p3
-                phases.current_phase = last_phase
+            admission.served_integral = served_acc
+            admission.dropped_integral = dropped_acc
+            admission.demand_integral = demand_acc
+            phases.cb_overload_energy_j = cb_acc
+            phases.ups_energy_j = ups_acc
+            phases.tes_electric_energy_j = tes_acc
+            # Read the dict again: an MPC plan's FacilityState.restore,
+            # called inside the strategy mid-segment, replaces it.
+            tip = phases.time_in_phase_s
+            tip[_IDLE] = tip_idle
+            tip[_PHASE1] = tip_p1
+            tip[_PHASE2] = tip_p2
+            tip[_PHASE3] = tip_p3
+            phases.current_phase = last_phase
         return None

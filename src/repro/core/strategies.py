@@ -29,7 +29,7 @@ import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.units import (
@@ -57,9 +57,12 @@ MPC_FORECAST_MODES: Tuple[str, ...] = ("perfect", "predicted")
 _RT_FLOOR = 0.02
 
 
-@dataclass(frozen=True, slots=True)
-class StrategyObservation:
+class StrategyObservation(NamedTuple):
     """Everything a strategy may look at in one control period.
+
+    An immutable named tuple: the span engine builds one per step for every
+    strategy whose bound varies, and a tuple is about half the cost of a
+    frozen dataclass to build.  Construct it by keyword.
 
     Attributes
     ----------
@@ -94,7 +97,17 @@ class StrategyObservation:
 
 
 class SprintingStrategy(ABC):
-    """Interface shared by the four strategies."""
+    """Interface shared by the four strategies.
+
+    A strategy sees the facility only through its
+    :class:`StrategyObservation` (and the :meth:`notify_realized`
+    feedback).  The controller's accumulators (the admission integrals,
+    the phase energies, time-in-phase and the current phase) are current
+    only between segments: the span engine keeps them in locals while a
+    segment runs and writes them back when it ends.  A strategy that
+    captures them mid-segment (the MPC planner does, to restore them) sees
+    their values at the segment's start.
+    """
 
     #: Short name used in result tables.
     name: str = "strategy"
@@ -286,20 +299,22 @@ class UpperBoundTable:
         Tie-breaking contract: when the query sits exactly midway between
         two grid points, the **lower** grid value wins on both axes.  The
         axis lists are kept sorted ascending (``bisect.insort`` in
-        :meth:`set`) and ``min(..., key=abs(...))`` keeps the first of
-        equal-keyed items, so the earlier — smaller — grid point is
-        returned.  Pinned by tests so table lookups stay reproducible
-        across Python versions and insertion orders.
+        :meth:`set`) and :func:`_nearest` keeps the first of equally near
+        points, as ``min(..., key=abs(...))`` does, so the earlier —
+        smaller — grid point is returned.  Pinned by tests so table
+        lookups stay reproducible across Python versions and insertion
+        orders.
         """
         if not self._entries:
             raise ConfigurationError("upper-bound table is empty")
-        require_non_negative(duration_s, "duration_s")
-        require_non_negative(degree, "degree")
-        nearest_duration = min(
-            self.durations_s, key=lambda d: abs(d - duration_s)
-        )
-        nearest_degree = min(self.degrees, key=lambda g: abs(g - degree))
-        return self._entries[(nearest_duration, nearest_degree)]
+        # A float in range needs no validation; anything else raises (or
+        # passes) exactly as the validators decide.
+        if type(duration_s) is not float or not 0.0 <= duration_s < math.inf:
+            require_non_negative(duration_s, "duration_s")
+        if type(degree) is not float or not 0.0 <= degree < math.inf:
+            require_non_negative(degree, "degree")
+        nearest_duration = _nearest(self.durations_s, duration_s)
+        return self._entries[(nearest_duration, _nearest(self.degrees, degree))]
 
     def entries(self) -> List[Tuple[float, float, float]]:
         """All grid points as sorted ``(duration_s, degree, bound)`` rows.
@@ -314,6 +329,22 @@ class UpperBoundTable:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _nearest(axis: Sequence[float], value: float) -> float:
+    """``min(axis, key=lambda v: abs(v - value))`` without a call per item.
+
+    The comparison is strict, so of equally near grid points the first
+    wins, exactly as ``min`` keeps the first of equal keys.
+    """
+    best = axis[0]
+    best_gap = abs(best - value)
+    for point in axis:
+        gap = abs(point - value)
+        if gap < best_gap:
+            best = point
+            best_gap = gap
+    return best
 
 
 class PredictionStrategy(SprintingStrategy):
@@ -360,8 +391,12 @@ class PredictionStrategy(SprintingStrategy):
 
     def notify_realized(self, degree: float, dt_s: float, in_burst: bool) -> None:
         """Accumulate the realised degree into SDe_avg (in-burst only)."""
-        require_non_negative(degree, "degree")
-        require_positive(dt_s, "dt_s")
+        # A float in range needs no validation; anything else raises (or
+        # passes) exactly as the validators decide.
+        if type(degree) is not float or not 0.0 <= degree < math.inf:
+            require_non_negative(degree, "degree")
+        if type(dt_s) is not float or not 0.0 < dt_s < math.inf:
+            require_positive(dt_s, "dt_s")
         if in_burst:
             self._degree_time_integral += degree * dt_s
             self._time_in_burst += dt_s

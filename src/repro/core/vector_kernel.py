@@ -150,7 +150,7 @@ class _BreakerBank:
         self.time_s = np.full(n, breaker._time_s, dtype=np.float64)
 
     # Vector restatement of ``CircuitBreaker.max_load_for_trip_time`` (as
-    # inlined in ``StepKernel._fit_power``).
+    # inlined in the power fit of ``StepKernel._run``).
     def max_load_for_trip_time(self, reserve_s: float) -> np.ndarray:
         c = self.consts
         head = 1.0 - self.trip_fraction
@@ -575,7 +575,8 @@ class VectorStepKernel:
         return heat_via_chiller, heat_via_tes, electric
 
     # ------------------------------------------------------------------
-    # Controller internals (vector _fit_power / _fit_thermal)
+    # Controller internals (vector SprintingController._fit_power /
+    # _fit_thermal)
     # ------------------------------------------------------------------
     def _fit_power_vec(
         self,

@@ -977,9 +977,11 @@ class SweepRunner:
         """Run the uncached grid-point searches on the fastest valid tier.
 
         Inside the shared-prefix envelope (:func:`shared_prefix_envelope`,
-        the predicate the search itself checks) every point runs one
-        pruned shared-prefix search through the scheduler backend; these
-        beat the packed batch on every measured grid.  Outside it the
+        the predicate the search itself checks; a grid with sub-normal
+        candidates is inside it when at least one candidate is at least
+        1.0) every point runs one pruned shared-prefix search through the
+        scheduler backend; these beat the packed batch on every measured
+        grid.  Outside it the
         vector-packed tier fuses the whole table build (every point x
         every candidate) into few kernel batches, and when that declines
         too (toggle off, incompatible traces, batches narrower than

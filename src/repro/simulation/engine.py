@@ -459,18 +459,32 @@ def _coast_safe(datacenter: DataCenter) -> bool:
 
 
 def shared_prefix_envelope(
-    datacenter: DataCenter, candidates: Sequence[float]
+    datacenter: DataCenter,
+    candidates: Sequence[float],
+    fault_plan: Optional[FaultPlan] = None,
 ) -> bool:
     """Whether the shared-prefix search is valid for ``candidates`` here.
 
-    Inside the envelope every candidate is at least the normal degree (a
-    lower bound binds outside bursts too, so the quiescent prefix is no
-    longer shared), the controller uses the default burst detector (the
-    burst-window mask assumes it) and the facility is coast-safe.  The
-    search and the sweep runner's table routing both decide with this
-    one predicate; the trace's sampling period is checked per search.
+    Inside the envelope the controller uses the default burst detector
+    (the burst-window mask assumes it), the facility is coast-safe, and
+    every candidate is at least the normal degree, with one exception.  A
+    sub-normal candidate (a bound below 1.0) binds outside bursts too, so
+    it shares no quiescent prefix; a fault-free search still takes it when
+    at least one candidate is at least 1.0 and every sub-normal one is
+    positive, and runs it in full unless it is pruned (see
+    :func:`_sub_normal_search`).  A faulted search with a sub-normal
+    candidate runs per candidate.  The search and the sweep runner's table
+    routing both decide with this one predicate; the trace's sampling
+    period is checked per search.
     """
-    if not candidates or any(float(c) < 1.0 for c in candidates):
+    if not candidates:
+        return False
+    sub_normal = [float(c) for c in candidates if float(c) < 1.0]
+    if sub_normal and (
+        fault_plan is not None
+        or len(sub_normal) == len(candidates)
+        or not all(c > 0.0 for c in sub_normal)
+    ):
         return False
     probe = datacenter.controller(FixedUpperBoundStrategy(float(candidates[0])))
     if probe.detector.capacity != 1.0:
@@ -550,11 +564,23 @@ def shared_prefix_oracle_search(
     if abs(trace.dt_s - config.dt_s) > 1e-9:
         return None  # reference path raises the descriptive ConfigurationError
     datacenter = build_datacenter(config)
-    if not shared_prefix_envelope(datacenter, candidates):
+    if not shared_prefix_envelope(datacenter, candidates, fault_plan):
         return None
-    if fault_plan is None:
-        return _shared_prefix_no_faults(datacenter, trace, candidates)
-    return _shared_prefix_with_faults(datacenter, trace, candidates, fault_plan)
+    if fault_plan is not None:
+        return _shared_prefix_with_faults(datacenter, trace, candidates, fault_plan)
+    normal = [i for i, c in enumerate(candidates) if not float(c) < 1.0]
+    if len(normal) == len(candidates):
+        best, performance = _shared_prefix_no_faults(datacenter, trace, candidates)
+    else:
+        best, performance = _sub_normal_search(
+            datacenter, trace, candidates, normal
+        )
+    if best is None:
+        raise SimulationError(
+            "oracle search failed: every candidate upper bound's run "
+            f"failed on trace {trace.name!r}"
+        )
+    return float(candidates[best]), performance
 
 
 def _effective_bounds(
@@ -648,15 +674,17 @@ def _shared_prefix_no_faults(
     datacenter: DataCenter,
     trace: Trace,
     candidates: Sequence[float],
-) -> Tuple[float, float]:
+) -> Tuple[Optional[int], float]:
     """Fault-free search: the baseline coasts to burst onset and runs its
     burst window; each candidate's suffix ends at the last burst sample.
 
-    The truncation at the last burst sample hides post-burst failures
-    (battery recharge against live breaker budgets), so the descent
-    verifies the provisional winner by re-running its tail with real
-    physics; a tail that raises demotes it to failed — exactly the
-    reference path's NaN for that candidate.
+    Returns the winner's index and performance; the index is ``None``
+    (and the performance NaN) when every candidate fails.  The truncation
+    at the last burst sample hides post-burst failures (battery recharge
+    against live breaker budgets), so the descent verifies the
+    provisional winner by re-running its tail with real physics; a tail
+    that raises demotes it to failed — exactly the reference path's NaN
+    for that candidate.
     """
     samples = trace.samples
     n = int(samples.size)
@@ -665,7 +693,7 @@ def _shared_prefix_no_faults(
         # No burst: every candidate serves the whole trace at performance
         # 1.0 (coast-safety established no run can fail), and the strict
         # argmax keeps the first candidate.
-        return float(candidates[0]), 1.0
+        return 0, 1.0
     first = int(np.argmax(mask))
     last = n - 1 - int(np.argmax(mask[::-1]))
 
@@ -733,11 +761,52 @@ def _shared_prefix_no_faults(
 
     found = descend(eff, run, optimistic, prefilled, tail_holds)
     if found.best is None:
-        raise SimulationError(
-            "oracle search failed: every candidate upper bound's run "
-            f"failed on trace {trace.name!r}"
-        )
-    return float(candidates[found.best]), found.scores[found.best]
+        return None, math.nan
+    return found.best, found.scores[found.best]
+
+
+def _sub_normal_search(
+    datacenter: DataCenter,
+    trace: Trace,
+    candidates: Sequence[float],
+    normal: Sequence[int],
+) -> Tuple[Optional[int], float]:
+    """Fault-free search over a grid with sub-normal candidates.
+
+    The candidates at or above 1.0 (indices ``normal``) run the pruned
+    shared-prefix search.  Each sub-normal candidate then runs in full
+    from a reset facility, as the per-candidate reference runs it, unless
+    its :func:`optimistic_performance` (times the descent's
+    ``_PRUNE_MARGIN``) cannot beat the best found so far; the descent
+    visits them highest bound first and takes the first-wins argmax over
+    the whole list in candidate order.  The other normal candidates are
+    prefilled as NaN: each scores below the normal winner or ties it
+    later in candidate order, so none could be that argmax.
+    """
+    best, performance = _shared_prefix_no_faults(
+        datacenter, trace, [candidates[i] for i in normal]
+    )
+    prefilled = {i: math.nan for i in normal}
+    if best is not None:
+        prefilled[normal[best]] = performance
+    bounds = [float(c) for c in candidates]
+    cluster = datacenter.cluster
+    n = len(trace)
+
+    def run(idx: int) -> float:
+        controller = _fresh_run(datacenter, bounds[idx])
+        if _run_segment(controller, trace, 0, n) is not None:
+            return math.nan
+        served = controller.history.column("served")
+        return average_performance_improvement(served, trace)
+
+    def optimistic(idx: int) -> float:
+        return optimistic_performance(cluster, trace, bounds[idx])
+
+    found = descend(bounds, run, optimistic, prefilled)
+    if found.best is None:
+        return None, math.nan
+    return found.best, found.scores[found.best]
 
 
 def _shared_prefix_with_faults(

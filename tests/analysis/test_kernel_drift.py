@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import kernel_drift
 from repro.analysis.framework import SourceFile, collect_files, load_source
 from repro.analysis.kernel_drift import KernelDriftRule
 
@@ -140,3 +141,48 @@ class TestTamperSensitivity:
             and "reference step never does" in f.message
             for f in findings
         )
+
+
+class TestAllowlistAudit:
+    """Every allowlist entry must excuse a divergence that exists."""
+
+    def test_planted_unused_entry_is_detected(self, real_sources, monkeypatch):
+        # Both sides read Room.setpoint_c, so the entry excuses nothing.
+        monkeypatch.setitem(
+            kernel_drift.ALLOWED_KERNEL_ONLY,
+            ("Room", "setpoint_c"),
+            "planted: excuses no divergence",
+        )
+        findings = KernelDriftRule().check_project(real_sources)
+        stale = [f for f in findings if "stale allowlist entry" in f.message]
+        assert len(stale) == 1
+        assert "ALLOWED_KERNEL_ONLY" in stale[0].message
+        assert "setpoint_c" in stale[0].message
+
+    def test_retired_vector_entry_would_be_stale(
+        self, real_sources, monkeypatch
+    ):
+        # Both kernels read PhaseTracker.current_phase (the scalar one
+        # seeds its deferred phase from it), so no vector-only divergence
+        # exists for an entry to excuse.
+        monkeypatch.setitem(
+            kernel_drift.ALLOWED_VECTOR_KERNEL_ONLY,
+            ("PhaseTracker", "current_phase"),
+            "the vector kernel seeds its phase codes from the tracker",
+        )
+        findings = KernelDriftRule().check_project(real_sources)
+        assert any(
+            "stale allowlist entry" in f.message
+            and "ALLOWED_VECTOR_KERNEL_ONLY" in f.message
+            for f in findings
+        )
+
+    def test_empty_reason_is_detected(self, real_sources, monkeypatch):
+        monkeypatch.setitem(
+            kernel_drift.ALLOWED_KERNEL_ONLY, ("Trace", "dt_s"), "  "
+        )
+        findings = KernelDriftRule().check_project(real_sources)
+        assert [f.message for f in findings] == [
+            "ALLOWED_KERNEL_ONLY[('Trace', 'dt_s')] has an empty reason; "
+            "every allowlist entry must say why the divergence is by design"
+        ]

@@ -27,6 +27,7 @@ from repro.simulation.config import DataCenterConfig
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import run_simulation
 from repro.simulation.faults import FaultEvent, FaultPlan
+from repro.simulation.snapshot import FacilityState
 from repro.workloads.traces import Trace
 from repro.workloads.yahoo_trace import generate_yahoo_trace
 
@@ -191,6 +192,50 @@ class TestKernelMatchesReference:
                     ), field.name
                 else:
                     assert va == vb, field.name
+
+
+class TestExhaustedPowerFit:
+    """A power fit whose three checks all fail commits at the degree the
+    third check left; the kernel then prices that degree once more
+    instead of running a separate commit computation.  No workload
+    reaches this, so it is pinned here: with the PDU breaker derated to
+    5% of its rating and an empty battery, not even degree 0 fits."""
+
+    @staticmethod
+    def _starved(use_kernel):
+        dc = build_datacenter(SMALL)
+        breaker = dc.topology.pdu.breaker
+        breaker.rated_power_w = 0.05 * breaker.rated_power_w
+        dc.topology.pdu.ups.battery.energy_j = 0.0
+        return dc, dc.controller(GreedyStrategy(), use_kernel=use_kernel)
+
+    def test_step_matches_reference(self):
+        dc_fast, fast = self._starved(True)
+        dc_ref, ref = self._starved(False)
+        fits = []
+        fit_power = ref._fit_power
+
+        def recording_fit(degree, use_tes, dt):
+            found = fit_power(degree, use_tes, dt)
+            fits.append(found)
+            return found
+
+        ref._fit_power = recording_fit
+        for i in range(3):
+            step = fast.step(2.5, float(i), i)
+            assert step == ref.step(2.5, float(i), i)
+            assert FacilityState.capture(dc_fast, fast) == FacilityState.capture(
+                dc_ref, ref
+            )
+        # Every reference fit exhausted its checks: the degree it returns
+        # draws more than the breaker bound of its last pass can source.
+        n_pdus = dc_ref.topology.n_pdus
+        assert fits and all(
+            dc_ref.cluster.power_at_degree_w(degree)
+            > pdu_bound * n_pdus * (1.0 + 1e-12)
+            for degree, pdu_bound, _ in fits
+        )
+        assert fast.history == ref.history
 
 
 class RecordingStrategy(SprintingStrategy):

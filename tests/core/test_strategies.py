@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.strategies import (
@@ -165,6 +167,73 @@ class TestUpperBoundTable:
         table.set(900.0, 3.0, 2.5)
         table.set(300.0, 3.0, 4.0)
         assert table.lookup(600.0, 3.3) == 4.0
+
+
+#: Grid points and queries on a 0.25 lattice, so exact midpoints (equal
+#: distances to two grid points) are drawn often; plus arbitrary floats.
+_GRID_POINTS = st.lists(
+    st.integers(1, 60).map(lambda k: k * 0.5), min_size=1, max_size=8,
+    unique=True,
+)
+_QUERIES = st.one_of(
+    st.integers(0, 130).map(lambda k: k * 0.25),
+    st.floats(0.0, 40.0, allow_nan=False),
+)
+
+
+class TestLookupFastPath:
+    """``lookup`` snaps with a plain loop and validates only what is not
+    already a float in range; both must behave exactly as the
+    ``min(key=...)`` and ``require_*`` calls they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        durations=_GRID_POINTS,
+        degrees=_GRID_POINTS,
+        duration=_QUERIES,
+        degree=_QUERIES,
+    )
+    def test_lookup_snaps_like_min_by_distance(
+        self, durations, degrees, duration, degree
+    ):
+        table = UpperBoundTable()
+        for i, d in enumerate(durations):
+            for j, g in enumerate(degrees):
+                table.set(d, g, 1.0 + i + 0.01 * j)
+        nearest_d = min(table.durations_s, key=lambda v: abs(v - duration))
+        nearest_g = min(table.degrees, key=lambda v: abs(v - degree))
+        bounds = {(d, g): b for d, g, b in table.entries()}
+        assert table.lookup(duration, degree) == bounds[(nearest_d, nearest_g)]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, "x", math.nan, math.inf, -math.inf, -1.0, np.int64(1)],
+        ids=repr,
+    )
+    def test_bad_inputs_raise_as_the_validators_do(self, bad):
+        strategy = TestPrediction().make()
+        with pytest.raises(ConfigurationError, match="^degree must"):
+            strategy.notify_realized(bad, 1.0, in_burst=True)
+        with pytest.raises(ConfigurationError, match="^dt_s must"):
+            strategy.notify_realized(2.0, bad, in_burst=True)
+        with pytest.raises(ConfigurationError, match="^duration_s must"):
+            strategy.table.lookup(bad, 3.0)
+        with pytest.raises(ConfigurationError, match="^degree must"):
+            strategy.table.lookup(300.0, bad)
+
+    def test_zero_dt_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="^dt_s must be > 0"):
+            TestPrediction().make().notify_realized(2.0, 0.0, in_burst=True)
+
+    def test_numpy_floats_and_ints_are_accepted(self):
+        floats = TestPrediction().make()
+        numpy = TestPrediction().make()
+        floats.notify_realized(2.0, 100.0, in_burst=True)
+        numpy.notify_realized(np.float64(2.0), np.float64(100.0), True)
+        assert numpy.snapshot_state() == floats.snapshot_state()
+        table = floats.table
+        assert table.lookup(np.float64(1000.0), np.float64(3.0)) == 3.0
+        assert table.lookup(1000, 3) == 3.0
 
 
 class TestPrediction:

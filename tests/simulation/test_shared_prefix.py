@@ -324,8 +324,9 @@ class TestPaperTraceShapes:
 
 class TestTableRouting:
     """Table builds inside the shared-prefix envelope run one pruned
-    search per point and no vector step; outside it (a sub-1.0 candidate)
-    the grid still runs as one packed batch."""
+    search per point and no vector step, also with a sub-1.0 candidate
+    beside bounds >= 1.0; outside it (every candidate below 1.0) the grid
+    still runs as one packed batch."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -381,11 +382,34 @@ class TestTableRouting:
         assert len(table) == 24
         assert counts == {"search": 24, "vector_step": 0, "demand_matrix": 0}
 
-    def test_sub_normal_candidate_keeps_the_packed_batch(self, counts):
+    def test_sub_normal_candidate_runs_one_search_per_point(self, counts):
+        """The benchmarked grid shape (0.9 prepended to the default grid)
+        takes the pruned search; a silent fall back to the packed batch
+        would show as vector steps.  6 points x 14 candidates is wide
+        enough to pack, so the packed tier's table is the reference."""
+        durations, degrees = (1.0, 5.0), (2.6, 3.0, 3.4)
+        candidates = (0.9,) + DEFAULT_ORACLE_GRID
         with SweepRunner(max_workers=1) as runner:
-            runner.build_upper_bound_table(
-                candidates=(0.9,) + DEFAULT_ORACLE_GRID
+            table = runner.build_upper_bound_table(
+                burst_durations_min=durations,
+                burst_degrees=degrees,
+                candidates=candidates,
             )
+        assert counts == {"search": 6, "vector_step": 0, "demand_matrix": 0}
+        traces = [
+            generate_yahoo_trace(burst_degree=g, burst_duration_min=d)
+            for d in durations
+            for g in degrees
+        ]
+        packed = packed_point_searches(traces, candidates, DataCenterConfig())
+        assert packed is not None
+        assert [entry[2] for entry in table.entries()] == [
+            found[0] for found in packed
+        ]
+
+    def test_all_sub_normal_grid_keeps_the_packed_batch(self, counts):
+        with SweepRunner(max_workers=1) as runner:
+            runner.build_upper_bound_table(candidates=(0.5, 0.7, 0.9))
         assert counts["demand_matrix"] == 1
         assert counts["search"] == 0
 
@@ -399,10 +423,36 @@ class TestValidityEnvelope:
         coarse = random_trace(1).resampled(5.0)
         assert shared_prefix_oracle_search(coarse, GRID, SMALL) is None
 
-    def test_sub_normal_bound_falls_back(self):
-        """A bound below the normal degree binds outside bursts, so the
-        prefix is not shared and the fast path declines."""
-        fast = shared_prefix_oracle_search(random_trace(2), (0.5, 2.0), SMALL)
+    def test_sub_normal_bound_joins_the_pruned_search(self):
+        """A bound below the normal degree binds outside bursts, so it
+        shares no prefix: it runs in full unless pruned, beside the
+        shared-prefix search of the bounds >= 1.0.  Ties and the
+        candidate order must not move the first-wins argmax."""
+        for seed in (2, 5):
+            trace = random_trace(seed)
+            for grid in ((0.5, 2.0), (0.9, 0.5) + GRID, GRID + (0.95, 0.95)):
+                fast = shared_prefix_oracle_search(trace, grid, SMALL)
+                assert fast == reference_search(trace, grid, SMALL)
+
+    def test_sub_normal_bound_wins_on_an_idle_trace(self):
+        """With no burst every candidate scores 1.0 and the first one
+        wins, a sub-normal one included."""
+        trace = Trace(np.full(120, 0.6), dt_s=1.0, name="idle")
+        grid = (0.9, 2.0, 3.0)
+        fast = shared_prefix_oracle_search(trace, grid, SMALL)
+        assert fast == reference_search(trace, grid, SMALL)
+        assert fast is not None and fast[0] == 0.9
+
+    def test_sub_normal_only_or_faulted_falls_back(self):
+        """Without a bound >= 1.0 there is no shared-prefix search to
+        prune against, and a faulted search keeps sub-normal bounds on
+        the per-candidate path."""
+        trace = random_trace(2)
+        assert shared_prefix_oracle_search(trace, (0.5, 0.9), SMALL) is None
+        plan = FaultPlan((FaultEvent.parse("ups@120s:fraction=0.4"),))
+        fast = shared_prefix_oracle_search(
+            trace, (0.5, 2.0), SMALL, fault_plan=plan
+        )
         assert fast is None
 
 
