@@ -69,7 +69,8 @@ class ControllerSettings:
     recharge_when_idle:
         Whether to trickle-recharge the UPS fleet outside bursts.
     max_recharge_fraction:
-        Cap on recharge power as a fraction of the PDU's spare rating.
+        Cap on recharge power as a fraction of the PDU's spare rating, in
+        [0, 1].
     ups_outage_reserve_fraction:
         Share of the UPS capacity sprinting may never touch.  The
         batteries' primary duty is bridging a utility outage until the
@@ -90,6 +91,13 @@ class ControllerSettings:
         require_positive(self.reserve_trip_time_s, "reserve_trip_time_s")
         require_non_negative(self.thermal_margin_k, "thermal_margin_k")
         require_non_negative(self.max_recharge_fraction, "max_recharge_fraction")
+        if self.max_recharge_fraction > 1.0:
+            # A fraction of the PDU's spare rating: above 1.0 the recharge
+            # draws past the rating and trips the breakers after a burst.
+            raise ConfigurationError(
+                "max_recharge_fraction must be in [0, 1], got "
+                f"{self.max_recharge_fraction!r}"
+            )
         if not 0.0 <= self.ups_outage_reserve_fraction < 1.0:
             raise ConfigurationError(
                 "ups_outage_reserve_fraction must be in [0, 1), got "

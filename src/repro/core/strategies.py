@@ -405,7 +405,8 @@ class PredictionStrategy(SprintingStrategy):
         """SDe_avg(t); the maximum degree before any burst time elapses."""
         if self._time_in_burst <= 0.0:
             return self.max_degree
-        return max(1.0, self._degree_time_integral / self._time_in_burst)
+        average = self._degree_time_integral / self._time_in_burst
+        return average if average > 1.0 else 1.0
 
     def equivalent_duration_s(self) -> float:
         """BDu_e(t) per Eq. 1 of the paper."""
@@ -414,8 +415,14 @@ class PredictionStrategy(SprintingStrategy):
         )
 
     def degree_upper_bound(self, obs: StrategyObservation) -> float:
-        """Table lookup at the Eq. 1 equivalent duration (Greedy outside bursts)."""
-        self._peak_demand = max(self._peak_demand, obs.demand)
+        """Table lookup at the Eq. 1 equivalent duration (Greedy outside bursts).
+
+        The clamps are the exact conditional forms of ``max``/``min``
+        (``max(a, b)`` is ``b if b > a else a``), spelled out because this
+        runs once per step.
+        """
+        if obs.demand > self._peak_demand:
+            self._peak_demand = obs.demand
         if not obs.in_burst:
             return obs.max_degree
         if self.predicted_burst_duration_s <= 0.0:
@@ -423,7 +430,9 @@ class PredictionStrategy(SprintingStrategy):
             # constrains the degree, degenerating to Greedy behaviour.
             return obs.max_degree
         bound = self.table.lookup(self.equivalent_duration_s(), self._peak_demand)
-        return min(max(1.0, bound), obs.max_degree)
+        if not bound > 1.0:
+            bound = 1.0
+        return obs.max_degree if obs.max_degree < bound else bound
 
     def reset(self) -> None:
         """Clear the per-episode degree averaging."""
@@ -505,7 +514,7 @@ class HeuristicStrategy(SprintingStrategy):
         bound = self.estimated_best_degree * (
             1.0 + self.flexibility_percent / 100.0
         )
-        return min(bound, self.max_degree)
+        return self.max_degree if self.max_degree < bound else bound
 
     def _ensure_plan(self, budget_total_j: float) -> None:
         """Compute SDu_p once, at the first in-burst observation.
@@ -537,7 +546,11 @@ class HeuristicStrategy(SprintingStrategy):
             )
 
     def degree_upper_bound(self, obs: StrategyObservation) -> float:
-        """SDe_ini scaled by RE/RT (Eqs. 2-3), clamped into [1, max]."""
+        """SDe_ini scaled by RE/RT (Eqs. 2-3), clamped into [1, max].
+
+        The clamps are the exact conditional forms of ``max``/``min``, as
+        in :meth:`PredictionStrategy.degree_upper_bound`.
+        """
         if not obs.in_burst:
             return obs.max_degree
         if self.estimated_best_degree <= 0.0:
@@ -551,9 +564,13 @@ class HeuristicStrategy(SprintingStrategy):
         # The plan duration needs real units; recompute from the additional
         # power once a real budget scale is set via set_budget_scale().
         rt = self._remaining_time_ratio(obs.time_in_burst_s)
-        re = max(0.0, obs.budget_fraction_remaining)
+        re = obs.budget_fraction_remaining
+        if not re > 0.0:
+            re = 0.0
         bound = self.initial_bound * (re / rt)
-        return min(max(1.0, bound), obs.max_degree)
+        if not bound > 1.0:
+            bound = 1.0
+        return obs.max_degree if obs.max_degree < bound else bound
 
     def set_budget_scale(self, budget_total_j: float) -> None:
         """Provide EB_tot (J) so SDu_p has physical units.
@@ -575,7 +592,7 @@ class HeuristicStrategy(SprintingStrategy):
         rt = (
             self._predicted_duration_s - time_in_burst_s
         ) / self._predicted_duration_s
-        return max(_RT_FLOOR, rt)
+        return rt if rt > _RT_FLOOR else _RT_FLOOR
 
     def reset(self) -> None:
         """Forget the per-episode plan (EB_tot and SDu_p)."""

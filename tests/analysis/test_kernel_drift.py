@@ -69,12 +69,12 @@ class TestTamperSensitivity:
         assert any("heat_capacity_j_per_k" in f.message for f in findings)
 
     def test_deleting_a_live_substrate_read_is_detected(self, real_sources):
-        # hold_off_s is read live every step (it may be reconfigured
-        # mid-run); folding it breaks the contract and must be caught.
+        # hold_off_s is read from the detector once per segment;
+        # folding it into a constant breaks the contract and must be caught.
         sources = tampered(
             real_sources,
-            ">= detector.hold_off_s",
-            ">= 17.31",
+            "hold_off_s = detector.hold_off_s",
+            "hold_off_s = 17.31",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any("hold_off_s" in f.message for f in findings)
@@ -131,9 +131,9 @@ class TestTamperSensitivity:
         # that the reference step closure never reads.
         sources = tampered(
             real_sources,
-            "avail = 0.0 if energy <= 1e-9 else tes.max_discharge_w",
-            "avail = 0.0 if energy <= 1e-9 else min(tes.max_discharge_w,"
-            " tes.capacity_j)",
+            "tes_max_discharge_w = 0.0 if tes is None else tes.max_discharge_w",
+            "tes_max_discharge_w = 0.0 if tes is None else min("
+            "tes.max_discharge_w, tes.capacity_j)",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any(

@@ -87,9 +87,9 @@ class TestTamperSensitivity:
         sources = tampered(
             real_sources,
             "strategies.py",
-            "self._peak_demand = max(self._peak_demand, obs.demand)",
-            "self._peak_demand = max(self._peak_demand, obs.demand)\n"
-            "        self._secret = obs.demand",
+            "            self._peak_demand = obs.demand\n",
+            "            self._peak_demand = obs.demand\n"
+            "        self._secret = obs.demand\n",
         )
         findings = SnapshotCoverageRule().check_project(sources)
         assert any("._secret" in f.message for f in findings)

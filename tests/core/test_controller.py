@@ -166,6 +166,16 @@ class TestControllerLifecycle:
         with pytest.raises(ConfigurationError):
             ControllerSettings(reserve_trip_time_s=-1.0)
 
+    def test_recharge_fraction_above_one_is_rejected(self):
+        # A fraction of the PDU's spare rating: 2.0 recharges past the
+        # rating and trips the DC breaker after a burst, so it is refused
+        # up front; the whole spare rating (1.0) stays valid.
+        settings = ControllerSettings(max_recharge_fraction=1.0)
+        assert settings.max_recharge_fraction == 1.0
+        for fraction in (1.0 + 1e-9, 2.0, 4.0):
+            with pytest.raises(ConfigurationError, match="max_recharge_fraction"):
+                ControllerSettings(max_recharge_fraction=fraction)
+
     def test_emergency_forces_normal_operation(self, small_datacenter):
         controller = small_datacenter.controller(GreedyStrategy())
         for t in range(30):

@@ -39,6 +39,44 @@ from tests.core.test_strategy_state_property import STRATEGY_FACTORIES
 
 STRATEGY_KINDS = tuple(STRATEGY_FACTORIES)
 
+#: A burst from 60 s to 460 s on the small facility: Greedy sprints on
+#: breaker overload and the UPS until about 244 s, then on the TES.
+FAULT_TRACE = Trace(
+    np.concatenate([np.full(60, 0.6), np.full(400, 2.6), np.full(200, 0.7)]),
+    dt_s=1.0,
+    name="burst-faulted",
+)
+
+#: One event per fault kind and breaker target, inside FAULT_TRACE's
+#: burst; the chiller and TES-valve events land once the TES is engaged,
+#: and the UPS failure is severe enough for the discharge-rate limit to
+#: bind.  Every event but ``breaker_trip`` and ``ups_failure`` (which
+#: never restore) expires 60 s later, well before the trace ends.
+FAULT_CASES = {
+    "breaker_trip-pdu": FaultEvent(
+        "breaker_trip", 120.0, fraction=0.5, duration_s=60.0, target="pdu"
+    ),
+    "breaker_trip-dc": FaultEvent(
+        "breaker_trip", 120.0, duration_s=60.0, target="dc"
+    ),
+    "breaker_derate-pdu": FaultEvent(
+        "breaker_derate", 120.0, duration_s=60.0, target="pdu"
+    ),
+    "breaker_derate-dc": FaultEvent(
+        "breaker_derate", 120.0, duration_s=60.0, target="dc"
+    ),
+    "ups_failure": FaultEvent(
+        "ups_failure", 120.0, fraction=0.97, duration_s=60.0
+    ),
+    "chiller_outage": FaultEvent(
+        "chiller_outage", 300.0, fraction=0.5, duration_s=60.0
+    ),
+    "tes_valve_stuck": FaultEvent(
+        "tes_valve_stuck", 300.0, fraction=0.5, duration_s=60.0
+    ),
+    "trace_gap": FaultEvent("trace_gap", 120.0, duration_s=60.0),
+}
+
 
 def span_trace(seed: int, n: int = 600, dt_s: float = 1.0) -> Trace:
     """A randomized trace made of long constant-demand spans.
@@ -127,17 +165,25 @@ class TestSpanDifferential:
         fast, ref = run_both(span_trace(seed), "greedy")
         assert_results_identical(fast, ref)
 
-    @pytest.mark.parametrize("kind", ("greedy", "fixed", "mpc"))
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_with_fault_plan(self, kind):
-        plan = FaultPlan(
-            events=(
-                FaultEvent(kind="ups_failure", time_s=150.0),
-                FaultEvent(kind="chiller_outage", time_s=320.0,
-                           fraction=0.5),
+        """Every fault kind, both breaker targets, one event per run.
+
+        The step body reads the ratings and limits a fault event mutates
+        once per segment.  Each event here lands inside the burst while
+        the part it degrades is in use, and those that expire do so
+        before the trace ends, so a value read once per run (or kept from
+        the previous segment) diverges from the reference.
+        """
+        assert {e.kind for e in FAULT_CASES.values()} == set(FAULT_KINDS)
+        for case, event in FAULT_CASES.items():
+            fast, ref = run_both(
+                FAULT_TRACE, kind, fault_plan=FaultPlan(events=(event,))
             )
-        )
-        fast, ref = run_both(span_trace(5), kind, fault_plan=plan)
-        assert_results_identical(fast, ref)
+            try:
+                assert_results_identical(fast, ref)
+            except AssertionError as exc:
+                raise AssertionError(f"{case}: {exc}") from None
 
     def test_fault_mid_constant_span_disarm(self):
         """Satellite: a due fault event must end the running segment.
