@@ -34,6 +34,10 @@ Divergences from the scalar kernel, each bit-neutral:
   latches the element — its state freezes mid-step exactly where the
   scalar kernel raises (partial mutations included), and it serves 0.0
   thereafter — instead of unwinding the whole batch with an exception.
+* A select or a branch is skipped when its mask is uniform (no element
+  failed yet, none over its breaker's hold band, none drawing TES or
+  UPS power, none recharging, none near the thermal threshold): run, it
+  would keep every element's value.
 
 Per-element failure masks double as fault-injection hooks: the mutable
 rating arrays (``chiller_rated_w``, ``battery_capacity_ah``,
@@ -115,6 +119,18 @@ TELEMETRY_FIELDS: Tuple[str, ...] = (
 )
 
 
+#: One pricing of a degree batch: the IT power and its cooling split
+#: (heat via the chiller, heat via TES, cooling electric power).
+_Pricing = Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _masked(
+    all_ok: bool, ok: np.ndarray, new: np.ndarray, old: object
+) -> np.ndarray:
+    """``np.where(ok, new, old)``; just ``new`` when every element is ok."""
+    return new if all_ok else np.where(ok, new, old)
+
+
 class _BreakerBank:
     """One breaker tier's mutable state across the batch (SoA layout).
 
@@ -151,18 +167,25 @@ class _BreakerBank:
 
     # Vector restatement of ``CircuitBreaker.max_load_for_trip_time`` (as
     # inlined in the power fit of ``StepKernel._run``).
+    # The selects for a spent trip budget and a tripped breaker are
+    # skipped when every element has budget left and none has tripped.
     def max_load_for_trip_time(self, reserve_s: float) -> np.ndarray:
         c = self.consts
         head = 1.0 - self.trip_fraction
-        safe_head = np.where(head > 0.0, head, 1.0)
+        has_head = head > 0.0
+        all_head = has_head.all()
+        safe_head = head if all_head else np.where(has_head, head, 1.0)
         t = reserve_s / safe_head
         o = np.sqrt(c.K / t)
         o = np.maximum(o, c.hold_lo)
         o = np.minimum(o, c.inst_cap)
         o = np.where(t <= c.inst_time, c.inst_o, o)
         load = self.rated_w * (1.0 + o)
-        load = np.where(head <= 0.0, np.nextafter(self.rated_w, 0.0), load)
-        return np.where(self.tripped, 0.0, load)
+        if not all_head:
+            load = np.where(head <= 0.0, np.nextafter(self.rated_w, 0.0), load)
+        if self.tripped.any():
+            load = np.where(self.tripped, 0.0, load)
+        return load
 
     # Vector restatement of ``StepKernel._cb_deliverable``.
     def cb_deliverable(
@@ -207,9 +230,12 @@ class _BreakerBank:
         cooldown_factor: float,
     ) -> np.ndarray:
         c = self.consts
-        pre_tripped = active & self.tripped
-        fail_pre = pre_tripped & (load_w > 0.0)
-        live = active & ~self.tripped
+        any_tripped = self.tripped.any()
+        if any_tripped:
+            fail_pre = active & self.tripped & (load_w > 0.0)
+            live = active & ~self.tripped
+        else:
+            live = active
         o = np.maximum(0.0, load_w / self.rated_w - 1.0)
         in_hold = o <= c.hold_hi
         cool = live & in_hold & (load_w < self.rated_w)
@@ -217,20 +243,30 @@ class _BreakerBank:
             cool, self.trip_fraction * cooldown_factor, self.trip_fraction
         )
         over = live & ~in_hold
-        inst = 1.0 + o >= c.inst_mult
-        denom = np.where(over & ~inst, o * o, 1.0)
-        trip_time = np.where(inst, c.inst_time, c.K / denom)
-        time_to_trip = (1.0 - self.trip_fraction) * trip_time
-        trip_now = over & (time_to_trip <= dt_s)
-        self.tripped_at_s = np.where(
-            trip_now, self.time_s + time_to_trip, self.tripped_at_s
-        )
-        self.trip_fraction = np.where(trip_now, 1.0, self.trip_fraction)
-        self.tripped = self.tripped | trip_now
-        accum = over & ~trip_now
-        self.trip_fraction = np.where(
-            accum, self.trip_fraction + dt_s / trip_time, self.trip_fraction
-        )
+        # No element over its hold band: no trip and no accumulation, so
+        # the masked updates below would all keep their old values.
+        if not over.any():
+            trip_now = over
+        else:
+            inst = 1.0 + o >= c.inst_mult
+            denom = np.where(over & ~inst, o * o, 1.0)
+            trip_time = np.where(inst, c.inst_time, c.K / denom)
+            time_to_trip = (1.0 - self.trip_fraction) * trip_time
+            trip_now = over & (time_to_trip <= dt_s)
+            self.tripped_at_s = np.where(
+                trip_now, self.time_s + time_to_trip, self.tripped_at_s
+            )
+            self.trip_fraction = np.where(trip_now, 1.0, self.trip_fraction)
+            self.tripped = self.tripped | trip_now
+            accum = over & ~trip_now
+            self.trip_fraction = np.where(
+                accum,
+                self.trip_fraction + dt_s / trip_time,
+                self.trip_fraction,
+            )
+        if not any_tripped:
+            self.time_s = np.where(active, self.time_s + dt_s, self.time_s)
+            return trip_now
         advance = active & ~fail_pre
         self.time_s = np.where(advance, self.time_s + dt_s, self.time_s)
         return fail_pre | trip_now
@@ -489,7 +525,7 @@ class VectorStepKernel:
     # Cluster arithmetic (vector restatement of StepKernel's maps)
     # ------------------------------------------------------------------
     def _power_at_degree_vec(self, degree: np.ndarray) -> np.ndarray:
-        if bool(np.any(degree > self._chip_max_eps)):
+        if (degree > self._chip_max_eps).any():
             raise ConfigurationError(
                 f"degree {float(degree.max())!r} exceeds the chip maximum "
                 f"{self._chip_max_degree!r}"
@@ -506,7 +542,7 @@ class VectorStepKernel:
         return np.maximum(0.0, np.minimum(degree, self._chip_max_degree))
 
     def _capacity_at_degree_vec(self, degree: np.ndarray) -> np.ndarray:
-        if bool(np.any(degree > self._tp_max_eps)):
+        if (degree > self._tp_max_eps).any():
             raise ConfigurationError(
                 f"degree {float(degree.max())!r} exceeds max_degree "
                 f"{self._tp_max_degree!r}"
@@ -548,7 +584,7 @@ class VectorStepKernel:
     def _cooling_split_vec(
         self, it_heat_w: np.ndarray, use_tes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._has_tes:
+        if self._has_tes and use_tes.any():
             avail = np.where(
                 self.tes_energy_j <= 1e-9, 0.0, self.tes_max_discharge_w
             )
@@ -578,54 +614,66 @@ class VectorStepKernel:
     # Controller internals (vector SprintingController._fit_power /
     # _fit_thermal)
     # ------------------------------------------------------------------
+    def _fit_limits_vec(
+        self, ups_floor_per_pdu_j: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The power fit's degree-independent inputs for this step.
+
+        Both breakers' trip-time-bounded loads and the UPS power depend
+        only on state that neither fit of one step changes, so they are
+        computed once per step rather than once per fit iteration.
+        """
+        own = self.pdu.max_load_for_trip_time(self._reserve)
+        parent_total = self.dc.max_load_for_trip_time(self._reserve)
+        usable_j = np.maximum(
+            0.0,
+            self.battery_energy_j * self._n_batteries - ups_floor_per_pdu_j,
+        )
+        avail_w = np.where(
+            self.battery_energy_j <= 1e-9,
+            0.0,
+            self.battery_max_discharge_w * self._n_batteries,
+        )
+        ups_power = np.minimum(avail_w, usable_j / self._dt)
+        return own, parent_total, ups_power
+
     def _fit_power_vec(
         self,
         degree: np.ndarray,
         use_tes: np.ndarray,
-        ups_floor_per_pdu_j: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        limits: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[_Pricing]]:
         # The scalar kernel breaks out of the 3-iteration loop once the
         # power fits; running the remaining iterations with the degree
         # frozen recomputes identical values (available, pdu_bound and
         # cooling_w are pure functions of degree and state frozen within
         # the fit), so a converged mask replicates the break bit-for-bit —
         # and once EVERY element has converged, breaking out of the batch
-        # loop early skips only those identical recomputations.
+        # loop early skips only those identical recomputations.  The
+        # third value is the last pass's ``(it_power, cooling split)``
+        # when it priced the returned degree (the loop broke), else None.
+        own, parent_total, ups_power = limits
         converged = np.zeros(self.n, dtype=bool)
         pdu_bound = np.zeros(self.n)
-        cooling_w = np.zeros(self.n)
         for _ in range(3):
             it_power = self._power_at_degree_vec(degree)
-            _, _, cooling_w = self._cooling_split_vec(it_power, use_tes)
-            own = self.pdu.max_load_for_trip_time(self._reserve)
-            parent_total = self.dc.max_load_for_trip_time(self._reserve)
+            split = self._cooling_split_vec(it_power, use_tes)
             parent_share = (
-                np.maximum(0.0, parent_total - cooling_w) / self._n_pdus
+                np.maximum(0.0, parent_total - split[2]) / self._n_pdus
             )
             pdu_bound = np.minimum(own, parent_share)
-            usable_j = np.maximum(
-                0.0,
-                self.battery_energy_j * self._n_batteries
-                - ups_floor_per_pdu_j,
-            )
-            avail_w = np.where(
-                self.battery_energy_j <= 1e-9,
-                0.0,
-                self.battery_max_discharge_w * self._n_batteries,
-            )
-            ups_power = np.minimum(avail_w, usable_j / self._dt)
             available = (pdu_bound + ups_power) * self._n_pdus
             converged = converged | (
                 it_power <= available * (1.0 + 1e-12)
             )
             if converged.all():
-                break
+                return degree, pdu_bound, (it_power, split)
             degree = np.where(
                 converged,
                 degree,
                 np.minimum(degree, self._degree_for_power_vec(available)),
             )
-        return degree, pdu_bound, cooling_w
+        return degree, pdu_bound, None
 
     def _fit_thermal_vec(
         self,
@@ -636,6 +684,8 @@ class VectorStepKernel:
         entered = alive & ~(
             self._threshold - self.room_temperature_c > self._thermal_margin_k
         )
+        if not entered.any():
+            return degree, use_tes
         removal = self.chiller_rated_w
         if self._has_tes:
             tes_nonempty = ~(self.tes_energy_j <= 1e-9)
@@ -668,14 +718,15 @@ class VectorStepKernel:
     # ------------------------------------------------------------------
     # Failure latching
     # ------------------------------------------------------------------
-    def _latch(self, mask: np.ndarray, kind: int, time_s: float) -> None:
-        if bool(np.any(mask)):
-            self.failed = self.failed | mask
-            self.failed_kind = np.where(mask, kind, self.failed_kind)
-            self.failed_step = np.where(
-                mask, self.steps_done, self.failed_step
-            )
-            self.failed_time_s = np.where(mask, time_s, self.failed_time_s)
+    def _latch(self, mask: np.ndarray, kind: int, time_s: float) -> bool:
+        """Latch the elements in ``mask``; whether any element failed."""
+        if not mask.any():
+            return False
+        self.failed = self.failed | mask
+        self.failed_kind = np.where(mask, kind, self.failed_kind)
+        self.failed_step = np.where(mask, self.steps_done, self.failed_step)
+        self.failed_time_s = np.where(mask, time_s, self.failed_time_s)
+        return True
 
     # ------------------------------------------------------------------
     # The control period
@@ -693,7 +744,7 @@ class VectorStepKernel:
                 f"demand must be scalar or shape ({self.n},), "
                 f"got shape {d.shape!r}"
             )
-        if not bool(np.all(d >= 0.0)):
+        if not (d >= 0.0).all():
             require_non_negative(float(d.min()), "demand")
         require_non_negative(time_s, "time_s")
 
@@ -701,6 +752,9 @@ class VectorStepKernel:
         n_pdus = self._n_pdus
         n_batteries = self._n_batteries
         alive = ~self.failed
+        # While no element has failed, every ``np.where(ok, new, old)``
+        # below is ``new``; ``_masked`` skips those selects.
+        all_ok = not self.failed.any()
 
         # --- burst detector (vector OnlineBurstDetector.observe) -------
         above = d > self._det_capacity
@@ -723,7 +777,7 @@ class VectorStepKernel:
         # --- burst edges (snapshot / clear the energy budget) ----------
         entered = alive & in_burst & ~self.burst_was_active
         exited = alive & ~in_burst & self.burst_was_active
-        if bool(np.any(entered)):
+        if entered.any():
             total = self._remaining_j_vec()
             self.budget_snapshot_j = np.where(
                 entered, total, self.budget_snapshot_j
@@ -751,9 +805,10 @@ class VectorStepKernel:
             alive, needed, self.last_needed_degree
         )
         degree = np.minimum(needed, upper_bound)
-        degree = np.where(
-            self.emergency_latched, np.minimum(degree, 1.0), degree
-        )
+        if self.emergency_latched.any():
+            degree = np.where(
+                self.emergency_latched, np.minimum(degree, 1.0), degree
+            )
 
         # --- chip-level PCM degree cap ---------------------------------
         if self._has_pcm:
@@ -793,32 +848,38 @@ class VectorStepKernel:
         )
         ups_floor_per_pdu = ups_floor_total / n_pdus
 
-        degree, pdu_bound, _ = self._fit_power_vec(
-            degree, use_tes, ups_floor_per_pdu
+        limits = self._fit_limits_vec(ups_floor_per_pdu)
+        degree, pdu_bound, priced = self._fit_power_vec(
+            degree, use_tes, limits
         )
         # The second fit only matters when the thermal fit shrank a degree
         # or engaged TES; otherwise it is a pure function of the same
         # (degree, use_tes, frozen state) inputs and recomputes the first
-        # fit's outputs bit-for-bit, so skipping it is exact.
+        # fit's outputs bit-for-bit, so skipping it is exact.  The thermal
+        # fit hands back its own inputs when no element is near the
+        # threshold.
         degree2, use_tes2 = self._fit_thermal_vec(degree, use_tes, alive)
-        if not (
+        if degree2 is not degree and not (
             np.array_equal(degree2, degree)
             and np.array_equal(use_tes2, use_tes)
         ):
             degree, pdu_bound, _ = self._fit_power_vec(
-                degree2, use_tes2, ups_floor_per_pdu
+                degree2, use_tes2, limits
             )
+            priced = None
         degree, use_tes = degree2, use_tes2
 
         # --- commit ----------------------------------------------------
-        it_power = self._power_at_degree_vec(degree)
-        heat_via_chiller, heat_via_tes, cooling_electric = (
-            self._cooling_split_vec(it_power, use_tes)
-        )
+        # The fit's last pass priced this very degree unless the loop ran
+        # out or the thermal fit changed it: reuse that pricing.
+        if priced is None:
+            it_power = self._power_at_degree_vec(degree)
+            priced = (it_power, self._cooling_split_vec(it_power, use_tes))
+        it_power, (heat_via_chiller, heat_via_tes, cooling_electric) = priced
         ok = alive.copy()
 
-        if self._has_tes:
-            absorb = ok & (heat_via_tes > 0.0)
+        absorb = ok & (heat_via_tes > 0.0)
+        if self._has_tes and absorb.any():
             needed_j = heat_via_tes * dt
             tank_fail = absorb & (
                 (
@@ -836,8 +897,9 @@ class VectorStepKernel:
             self.tes_absorbed_j = np.where(
                 do_absorb, self.tes_absorbed_j + needed_j, self.tes_absorbed_j
             )
-            self._latch(tank_fail, FAIL_TANK, time_s)
-            ok = ok & ~tank_fail
+            if self._latch(tank_fail, FAIL_TANK, time_s):
+                ok = ok & ~tank_fail
+                all_ok = False
 
         # --- room step (partial mutations precede the thermal latch,
         # exactly as the scalar kernel mutates before raising) ----------
@@ -853,17 +915,19 @@ class VectorStepKernel:
             heated,
             np.where(excess > 0.0, cooled, self.room_temperature_c),
         )
-        self.room_temperature_c = np.where(
-            ok, new_temp, self.room_temperature_c
+        self.room_temperature_c = _masked(
+            all_ok, ok, new_temp, self.room_temperature_c
         )
-        self.room_peak_c = np.where(
+        self.room_peak_c = _masked(
+            all_ok,
             ok,
             np.maximum(self.room_peak_c, self.room_temperature_c),
             self.room_peak_c,
         )
         thermal_fail = ok & (self.room_temperature_c >= self._threshold)
-        self._latch(thermal_fail, FAIL_THERMAL, time_s)
-        ok = ok & ~thermal_fail
+        if self._latch(thermal_fail, FAIL_THERMAL, time_s):
+            ok = ok & ~thermal_fail
+            all_ok = False
 
         # --- idle UPS recharge -----------------------------------------
         recharge_w = np.zeros(self.n)
@@ -876,19 +940,25 @@ class VectorStepKernel:
                 & ~in_burst
                 & (self.battery_energy_j / capacity_j < 1.0)
             )
-            per_pdu_load = it_power / n_pdus
-            spare = np.maximum(0.0, self.pdu.rated_w - per_pdu_load)
-            recharge_w = np.where(
-                want, spare * self._max_recharge_fraction, 0.0
-            )
-            store = want & (recharge_w > 0.0)
-            facility_w = recharge_w * n_pdus
-            per_battery_w = (facility_w / n_pdus) / n_batteries
-            stored = per_battery_w * dt * self._efficiency
-            stored = np.minimum(stored, capacity_j - self.battery_energy_j)
-            self.battery_energy_j = np.where(
-                store, self.battery_energy_j + stored, self.battery_energy_j
-            )
+            # Nothing is stored when no element wants a recharge.
+            if want.any():
+                per_pdu_load = it_power / n_pdus
+                spare = np.maximum(0.0, self.pdu.rated_w - per_pdu_load)
+                recharge_w = np.where(
+                    want, spare * self._max_recharge_fraction, 0.0
+                )
+                store = want & (recharge_w > 0.0)
+                facility_w = recharge_w * n_pdus
+                per_battery_w = (facility_w / n_pdus) / n_batteries
+                stored = per_battery_w * dt * self._efficiency
+                stored = np.minimum(
+                    stored, capacity_j - self.battery_energy_j
+                )
+                self.battery_energy_j = np.where(
+                    store,
+                    self.battery_energy_j + stored,
+                    self.battery_energy_j,
+                )
 
         # --- power topology --------------------------------------------
         server_demand = it_power + recharge_w * n_pdus
@@ -897,37 +967,42 @@ class VectorStepKernel:
         grid_w = np.minimum(per_pdu_demand, grid_bound)
         shortfall_w = per_pdu_demand - grid_w
         short = ok & (shortfall_w > 0.0)
-        per_battery_draw = shortfall_w / n_batteries
-        per_floor_j = ups_floor_per_pdu / n_batteries
-        usable_j = np.maximum(0.0, self.battery_energy_j - per_floor_j)
-        deliverable = np.minimum(
-            per_battery_draw, self.battery_max_discharge_w
-        )
-        deliverable = np.minimum(deliverable, usable_j / dt)
-        deliverable = np.maximum(0.0, deliverable)
-        deliverable = np.where(short, deliverable, 0.0)
-        draw = short & (deliverable > 0.0)
-        drawn_j = deliverable * dt
-        self.battery_energy_j = np.where(
-            draw,
-            np.maximum(0.0, self.battery_energy_j - drawn_j),
-            self.battery_energy_j,
-        )
-        self.battery_discharged_j = np.where(
-            draw, self.battery_discharged_j + drawn_j, self.battery_discharged_j
-        )
-        self.battery_cycles = np.where(
-            draw,
-            self.battery_cycles
-            + drawn_j
-            / (
-                self.battery_capacity_ah
-                * self._voltage_v
-                * SECONDS_PER_HOUR
-            ),
-            self.battery_cycles,
-        )
-        ups_w = deliverable * n_batteries
+        # No element short of grid power: nothing is drawn from the UPS.
+        ups_w = np.zeros(self.n)
+        if short.any():
+            per_battery_draw = shortfall_w / n_batteries
+            per_floor_j = ups_floor_per_pdu / n_batteries
+            usable_j = np.maximum(0.0, self.battery_energy_j - per_floor_j)
+            deliverable = np.minimum(
+                per_battery_draw, self.battery_max_discharge_w
+            )
+            deliverable = np.minimum(deliverable, usable_j / dt)
+            deliverable = np.maximum(0.0, deliverable)
+            deliverable = np.where(short, deliverable, 0.0)
+            draw = short & (deliverable > 0.0)
+            drawn_j = deliverable * dt
+            self.battery_energy_j = np.where(
+                draw,
+                np.maximum(0.0, self.battery_energy_j - drawn_j),
+                self.battery_energy_j,
+            )
+            self.battery_discharged_j = np.where(
+                draw,
+                self.battery_discharged_j + drawn_j,
+                self.battery_discharged_j,
+            )
+            self.battery_cycles = np.where(
+                draw,
+                self.battery_cycles
+                + drawn_j
+                / (
+                    self.battery_capacity_ah
+                    * self._voltage_v
+                    * SECONDS_PER_HOUR
+                ),
+                self.battery_cycles,
+            )
+            ups_w = deliverable * n_batteries
         deficit_per_pdu = np.maximum(
             0.0, per_pdu_demand - grid_w - ups_w
         )
@@ -935,36 +1010,42 @@ class VectorStepKernel:
         pdu_fail = self.pdu.step(
             grid_w, dt, ok, self._pdu_cooldown_factor
         )
-        self._latch(pdu_fail, FAIL_PDU, time_s)
-        ok = ok & ~pdu_fail
+        if self._latch(pdu_fail, FAIL_PDU, time_s):
+            ok = ok & ~pdu_fail
+            all_ok = False
         pdu_grid_total = grid_w * n_pdus
         ups_total = ups_w * n_pdus
         deficit_total = deficit_per_pdu * n_pdus
         dc_feed = pdu_grid_total + cooling_electric
         dc_fail = self.dc.step(dc_feed, dt, ok, self._dc_cooldown_factor)
-        self._latch(dc_fail, FAIL_DC, time_s)
-        ok = ok & ~dc_fail
+        if self._latch(dc_fail, FAIL_DC, time_s):
+            ok = ok & ~dc_fail
+            all_ok = False
 
         # --- admission + telemetry -------------------------------------
         effective_power = it_power - deficit_total
         needs_refit = ~(deficit_total <= 1e-9)
-        refit_power = np.where(needs_refit, effective_power, 0.0)
-        if not bool(np.all(refit_power >= 0.0)):
-            require_non_negative(float(refit_power.min()), "fleet_power_w")
-        effective_degree = np.where(
-            needs_refit, self._degree_for_power_vec(refit_power), degree
-        )
+        effective_degree = degree
+        if needs_refit.any():
+            refit_power = np.where(needs_refit, effective_power, 0.0)
+            if not (refit_power >= 0.0).all():
+                require_non_negative(
+                    float(refit_power.min()), "fleet_power_w"
+                )
+            effective_degree = np.where(
+                needs_refit, self._degree_for_power_vec(refit_power), degree
+            )
         capacity = self._capacity_at_degree_vec(effective_degree)
         served = np.minimum(d, capacity)
         dropped = d - served
-        self.served_integral = self.served_integral + np.where(
-            ok, served * dt, 0.0
+        self.served_integral = self.served_integral + _masked(
+            all_ok, ok, served * dt, 0.0
         )
-        self.dropped_integral = self.dropped_integral + np.where(
-            ok, dropped * dt, 0.0
+        self.dropped_integral = self.dropped_integral + _masked(
+            all_ok, ok, dropped * dt, 0.0
         )
-        self.demand_integral = self.demand_integral + np.where(
-            ok, d * dt, 0.0
+        self.demand_integral = self.demand_integral + _masked(
+            all_ok, ok, d * dt, 0.0
         )
 
         pdu_rated_total = self.pdu.rated_w * n_pdus
@@ -988,21 +1069,24 @@ class VectorStepKernel:
             ),
             0,
         )
-        self.current_phase_code = np.where(
-            ok, phase, self.current_phase_code
+        self.current_phase_code = _masked(
+            all_ok, ok, phase, self.current_phase_code
         )
+        # ``(phase_ok == code) * dt`` is ``np.where(ok & (phase == code),
+        # dt, 0.0)``: True * dt is dt and False * dt is 0.0.
+        phase_ok = _masked(all_ok, ok, phase, -1)
         for code in range(len(PHASE_ORDER)):
-            self.time_in_phase_s[code] = self.time_in_phase_s[
-                code
-            ] + np.where(ok & (phase == code), dt, 0.0)
-        self.cb_overload_energy_j = self.cb_overload_energy_j + np.where(
-            ok, np.where(sprinting, cb_overload_w, 0.0) * dt, 0.0
+            self.time_in_phase_s[code] = self.time_in_phase_s[code] + (
+                (phase_ok == code) * dt
+            )
+        self.cb_overload_energy_j = self.cb_overload_energy_j + _masked(
+            all_ok, ok, np.where(sprinting, cb_overload_w, 0.0) * dt, 0.0
         )
-        self.ups_energy_j = self.ups_energy_j + np.where(
-            ok, ups_total * dt, 0.0
+        self.ups_energy_j = self.ups_energy_j + _masked(
+            all_ok, ok, ups_total * dt, 0.0
         )
-        self.tes_electric_energy_j = self.tes_electric_energy_j + np.where(
-            ok, tes_saved_w * dt, 0.0
+        self.tes_electric_energy_j = self.tes_electric_energy_j + _masked(
+            all_ok, ok, tes_saved_w * dt, 0.0
         )
 
         # --- chip-level PCM (vector PcmHeatSink.step) ------------------
@@ -1042,7 +1126,7 @@ class VectorStepKernel:
                 ),
             )
 
-        served_out = np.where(ok, served, 0.0)
+        served_out = _masked(all_ok, ok, served, 0.0)
 
         if self.telemetry is not None:
             t = self.telemetry
