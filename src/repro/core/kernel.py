@@ -149,6 +149,7 @@ class StepKernel:
 
         # --- throughput quadratic --------------------------------------
         tp = cluster.throughput
+        self._throughput = tp
         self._tp_max_capacity = tp.max_capacity
         self._tp_max_degree = tp.max_degree
         self._tp_max_eps = tp.max_degree + 1e-9
@@ -422,7 +423,8 @@ class StepKernel:
 
         * the segment is run-length-encoded into constant-demand spans, so
           demand handling and span-invariant products are paid per span
-          (the span demands are read as one Python list per segment);
+          (the span demands and their needed degrees are computed as
+          arrays and read as Python lists once per segment);
         * constant-bound strategies skip the observation and the budget
           fraction: they never read it, and it feeds no stored state;
         * out of a burst (no budget snapshot) the budget fraction is
@@ -463,15 +465,22 @@ class StepKernel:
             n_samples = 1
             trace_dt = 0.0
             bounds = [start_index, start_index + 1]
+            demands = [demand]
+            # One sample: numpy's call overhead would outweigh the scalar.
+            span_degrees = [self._degree_for_capacity(demand)]
         else:
             samples = trace.samples
             n_samples = int(samples.size)
             trace_dt = trace.dt_s
             span_starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
-            # Each span's demand, read once per segment as Python floats:
-            # only the span starts, so a long flat span converts one.
-            demands = [float(samples[0])]
-            demands.extend(samples[span_starts].tolist())
+            # Each span's demand and needed degree, computed once per segment
+            # and read as Python floats: only the span starts, so a long flat
+            # span converts one.
+            span_demands = np.concatenate((samples[:1], samples[span_starts]))
+            demands = span_demands.tolist()
+            span_degrees = self._throughput.degrees_for_capacities(
+                span_demands
+            ).tolist()
             bounds = [start_index]
             bounds.extend((span_starts + start_index).tolist())
             bounds.append(start_index + n_samples)
@@ -611,12 +620,9 @@ class StepKernel:
             for b in range(len(bounds) - 1):
                 i = bounds[b]
                 end = bounds[b + 1]
-                if trace is not None:
-                    demand = demands[b]
+                demand = demands[b]
                 demand_dt = demand * dt
-                # Span-invariant: the needed degree is a pure function of the
-                # (constant) demand and frozen throughput coefficients.
-                span_needed = self._degree_for_capacity(demand)
+                needed = span_degrees[b]
                 while i < end:
                     if trace is not None:
                         time_s = i * trace_dt
@@ -694,7 +700,6 @@ class StepKernel:
                     else:
                         upper_bound = const_bound
 
-                    needed = span_needed
                     ctrl.last_needed_degree = needed
                     degree = upper_bound if upper_bound < needed else needed
                     if safety._emergency_latched and 1.0 < degree:

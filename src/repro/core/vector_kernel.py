@@ -320,16 +320,13 @@ class VectorStepKernel:
 
         # --- throughput quadratic --------------------------------------
         tp = cluster.throughput
-        self._tp_max_capacity = tp.max_capacity
+        self._throughput = tp
         self._tp_max_degree = tp.max_degree
         self._tp_max_eps = tp.max_degree + 1e-9
         gain = tp.max_capacity - 1.0
         span = tp.max_degree - 1.0
         self._tp_b = 2.0 * gain / span
         self._tp_c = gain / (span * span)
-        self._tp_b_sq = self._tp_b * self._tp_b
-        self._tp_four_c = 4.0 * self._tp_c
-        self._tp_two_c = 2.0 * self._tp_c
 
         # --- power topology --------------------------------------------
         self._n_pdus = topology.n_pdus
@@ -550,18 +547,6 @@ class VectorStepKernel:
         x = degree - 1.0
         quad = 1.0 + self._tp_b * x - self._tp_c * x * x
         return np.where(degree <= 1.0, degree, quad)
-
-    def _degree_for_capacity_vec(self, c_val: np.ndarray) -> np.ndarray:
-        discriminant = self._tp_b_sq - self._tp_four_c * (c_val - 1.0)
-        x = (
-            self._tp_b - np.sqrt(np.maximum(0.0, discriminant))
-        ) / self._tp_two_c
-        mid = np.minimum(1.0 + x, self._tp_max_degree)
-        return np.where(
-            c_val <= 1.0,
-            c_val,
-            np.where(c_val >= self._tp_max_capacity, self._tp_max_degree, mid),
-        )
 
     # ------------------------------------------------------------------
     # Budget / cooling (vector restatements)
@@ -800,7 +785,7 @@ class VectorStepKernel:
         # nothing reads (FixedUpperBoundStrategy ignores it).
 
         upper_bound = self._upper
-        needed = self._degree_for_capacity_vec(d)
+        needed = self._throughput.degrees_for_capacities(d)
         self.last_needed_degree = np.where(
             alive, needed, self.last_needed_degree
         )

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.units import require_non_negative, require_positive
 
@@ -125,6 +127,24 @@ class ThroughputModel:
         # capacity < max_capacity guarantees a positive discriminant.
         x = (b - math.sqrt(max(0.0, discriminant))) / (2.0 * c)
         return min(1.0 + x, self.max_degree)
+
+    def degrees_for_capacities(self, capacities: np.ndarray) -> np.ndarray:
+        """:meth:`degree_for_capacity` of every element, bit for bit.
+
+        The same operations in the same order, evaluated for every
+        element and then selected per branch, so each element equals the
+        scalar method's result.  The capacities are not validated: the
+        callers pass trace samples, which are finite and non-negative.
+        """
+        b, c = self._b, self._c
+        discriminant = b * b - 4.0 * c * (capacities - 1.0)
+        x = (b - np.sqrt(np.maximum(0.0, discriminant))) / (2.0 * c)
+        mid = np.minimum(1.0 + x, self.max_degree)
+        return np.where(
+            capacities <= 1.0,
+            capacities,
+            np.where(capacities >= self.max_capacity, self.max_degree, mid),
+        )
 
     def per_core_efficiency(self, degree: float) -> float:
         """Capacity per unit of degree — the power-efficiency signal.

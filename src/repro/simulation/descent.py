@@ -16,7 +16,8 @@ candidate scores strictly below the best, so it could never have been
 the argmax and pruning never changes the committed bound.
 
 An optional ``verify`` step re-checks the provisional winner (the
-fault-free Oracle re-runs its post-burst tail).  A winner that fails it
+fault-free Oracle re-runs its post-burst tail unless it is certified).
+A winner that fails it
 scores NaN, and the descent resumes where it stopped, against the lower
 best.
 

@@ -37,7 +37,11 @@ from repro.simulation.snapshot import FacilityState
 from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:
-    from repro.core.controller import ControlStep, SprintingController
+    from repro.core.controller import (
+        ControllerSettings,
+        ControlStep,
+        SprintingController,
+    )
     from repro.servers.cluster import ServerCluster
     from repro.simulation.batch import SweepRunner
 
@@ -428,6 +432,10 @@ def build_upper_bound_table(
 # :func:`repro.simulation.descent.descend`: highest effective bound
 # first, stopping at the first candidate whose bound (times the
 # descent's ``_PRUNE_MARGIN``) cannot beat the best performance so far.
+#
+# Fault-free suffixes stop at the last burst sample; the provisional
+# winner's post-burst tail is re-run before it is accepted, unless
+# :func:`_tails_hold` certifies that it cannot fail.
 
 
 def _coast_safe(datacenter: DataCenter) -> bool:
@@ -456,6 +464,42 @@ def _coast_safe(datacenter: DataCenter) -> bool:
     if it_peak + cooling_w > topology.dc_breaker.rated_power_w:
         return False
     return True
+
+
+def _tails_hold(datacenter: DataCenter, settings: "ControllerSettings") -> bool:
+    """Static certificate: no fault-free post-burst tail can fail here.
+
+    It covers a fixed-bound run on a coast-safe facility that completed its
+    last burst sample with the room's headroom above the thermal margin.
+    After that sample demand is at most 1.0, so IT power is at most
+    ``it_peak``, within the chiller's removal: the room cannot warm, the
+    thermal fit never runs and, below the sprint threshold, no TES is
+    drawn, so cooling draws at most ``(pue - 1) * removal``.  Idle recharge
+    adds at most ``f * (pdu_rated - IT / n_pdus)`` per PDU (``f`` is
+    ``max_recharge_fraction`` <= 1, or 0 without recharge), so the feeds
+    below bound each PDU's and the DC's draw.  Inside the hold bands (the
+    ``1e-9`` absorbs rounding) no trip budget grows, so no breaker trips,
+    and no other tail step can raise.  The room condition is required: a
+    thermal fit may draw TES, and the DC bound with that draw reads 1.24x
+    the default facility's rating, against 1.03x without it.
+    """
+    topology = datacenter.topology
+    pdu = topology.pdu.breaker
+    dc = topology.dc_breaker
+    chiller = datacenter.cooling.chiller
+    it_peak = datacenter.cluster.power_at_degree_w(1.0)
+    f = settings.max_recharge_fraction if settings.recharge_when_idle else 0.0
+    pdu_feed = (1.0 - f) * it_peak / topology.n_pdus + f * pdu.rated_power_w
+    dc_feed = (
+        (1.0 - f) * it_peak
+        + f * topology.n_pdus * pdu.rated_power_w
+        + chiller.cooling_overhead * chiller.rated_removal_w
+    )
+    slack = 1.0 - 1e-9
+    return (
+        pdu_feed <= pdu.rated_power_w * (1.0 + pdu.curve.hold_threshold) * slack
+        and dc_feed <= dc.rated_power_w * (1.0 + dc.curve.hold_threshold) * slack
+    )
 
 
 def shared_prefix_envelope(
@@ -517,25 +561,6 @@ def optimistic_performance(
     return average_performance_improvement(np.minimum(seen, capacity), trace)
 
 
-def _divergence_step(
-    needed: Sequence[float], eff_bound: float, eff_base: float, first: int
-) -> Optional[int]:
-    """First absolute step where ``eff_bound`` alters the realized degree.
-
-    The candidate's degree decision ``min(needed, eff_bound)`` differs
-    from the baseline's ``min(needed, eff_base)`` exactly when the needed
-    degree exceeds the candidate's effective bound while the baseline's is
-    higher.  ``None`` means the candidate shares the baseline's entire
-    run.
-    """
-    if eff_bound >= eff_base:
-        return None
-    for j, nd in enumerate(needed):
-        if nd > eff_bound:
-            return first + j
-    return None
-
-
 def shared_prefix_oracle_search(
     trace: Trace,
     candidates: Sequence[float],
@@ -554,8 +579,8 @@ def shared_prefix_oracle_search(
     no-fault run) are excluded exactly as the reference path excludes
     them, including failures *after* the burst window: a provisional
     winner's post-burst tail (battery recharge against live breaker
-    budgets) is re-simulated with real physics before the result is
-    accepted, and demoted to failed if the tail raises.  Raises
+    budgets) is re-simulated, unless :func:`_tails_hold` certifies it,
+    and demoted to failed if the tail raises.  Raises
     :class:`~repro.errors.SimulationError` when every candidate fails.
     With or without a fault plan, candidates whose
     :func:`optimistic_performance` cannot beat the best run found so far
@@ -596,17 +621,24 @@ def _effective_bounds(
 
 def _frontiers(
     cluster: "ServerCluster",
-    demand: Sequence[float],
+    demand: np.ndarray,
     eff: Sequence[float],
     eff_base: float,
     first: int,
 ) -> Tuple[List[Optional[int]], List[int]]:
     """Each candidate's divergence frontier, and the distinct frontiers.
 
-    ``demand`` is what the controller sees from sample ``first`` on.
+    ``demand`` is what the controller sees from sample ``first`` on.  A
+    candidate diverges at the first step whose needed degree exceeds its
+    effective bound ``eff`` below ``eff_base``; ``None`` means it shares
+    the baseline's entire run.
     """
-    needed = [cluster.degree_for_demand(d) for d in demand]
-    frontier_of = [_divergence_step(needed, e, eff_base, first) for e in eff]
+    needed = cluster.throughput.degrees_for_capacities(demand)
+    frontier_of: List[Optional[int]] = []
+    for e in eff:
+        above = np.flatnonzero(needed > e)
+        shared = e >= eff_base or not above.size
+        frontier_of.append(None if shared else first + int(above[0]))
     return frontier_of, sorted({k for k in frontier_of if k is not None})
 
 
@@ -682,9 +714,9 @@ def _shared_prefix_no_faults(
     (and the performance NaN) when every candidate fails.  The truncation
     at the last burst sample hides post-burst failures (battery recharge
     against live breaker budgets), so the descent verifies the
-    provisional winner by re-running its tail with real physics; a tail
-    that raises demotes it to failed — exactly the reference path's NaN
-    for that candidate.
+    provisional winner: unless :func:`_tails_hold` certifies its tail, it
+    re-runs the tail with real physics, and a tail that raises demotes it
+    to failed — exactly the reference path's NaN for that candidate.
     """
     samples = trace.samples
     n = int(samples.size)
@@ -700,7 +732,7 @@ def _shared_prefix_no_faults(
     cluster = datacenter.cluster
     eff, base_bound, eff_base = _effective_bounds(datacenter, candidates)
     frontier_of, frontiers = _frontiers(
-        cluster, samples[first : last + 1].tolist(), eff, eff_base, first
+        cluster, samples[first : last + 1], eff, eff_base, first
     )
 
     # Instrumented baseline: the largest candidate, from burst onset on a
@@ -753,10 +785,16 @@ def _shared_prefix_no_faults(
     def optimistic(idx: int) -> float:
         return optimistic_performance(cluster, trace, eff[idx])
 
+    settings = controller.settings
+    certified = _tails_hold(datacenter, settings)
+    threshold = datacenter.cooling.room.threshold_c
+
     def tail_holds(idx: int) -> bool:
-        if last + 1 == n:
+        end = end_states[idx]
+        headroom_k = threshold - end.room_temperature_c
+        if last + 1 == n or (certified and headroom_k > settings.thermal_margin_k):
             return True
-        resumed = _resumed_run(datacenter, float(candidates[idx]), end_states[idx])
+        resumed = _resumed_run(datacenter, float(candidates[idx]), end)
         return _run_segment(resumed, trace, last + 1, n) is None
 
     found = descend(eff, run, optimistic, prefilled, tail_holds)
@@ -847,7 +885,7 @@ def _shared_prefix_with_faults(
     eff, base_bound, eff_base = _effective_bounds(datacenter, candidates)
     demand = effective_demand_series(fault_plan, trace)
     frontier_of, frontiers = _frontiers(
-        cluster, demand[: last + 1].tolist(), eff, eff_base, 0
+        cluster, demand[: last + 1], eff, eff_base, 0
     )
 
     # The baseline over [0..last], cut at the frontiers.  bound_until is

@@ -105,8 +105,8 @@ class TestTamperSensitivity:
         # ALLOWED_KERNEL_ONLY ledger exists to surface.
         sources = tampered(
             real_sources,
-            "needed = span_needed\n",
-            "needed = ctrl._degraded_capacity or span_needed\n",
+            "needed = span_degrees[b]\n",
+            "needed = ctrl._degraded_capacity or span_degrees[b]\n",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any(

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError
 from repro.servers.performance import DEFAULT_MAX_CAPACITY, ThroughputModel
@@ -82,6 +86,54 @@ class TestInverse:
         model = ThroughputModel()
         c = model.capacity(d)
         assert model.degree_for_capacity(c) == pytest.approx(d, rel=1e-6)
+
+
+class TestArrayInverse:
+    """``degrees_for_capacities`` is ``degree_for_capacity`` per element,
+    bit for bit: the span engine, the Oracle frontiers and the vector
+    kernel take their needed degrees from it."""
+
+    @staticmethod
+    def assert_bitwise(model, capacities):
+        got = model.degrees_for_capacities(np.asarray(capacities, dtype=float))
+        want = np.asarray([model.degree_for_capacity(float(c)) for c in capacities])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        (ThroughputModel(), ThroughputModel(max_capacity=1.7, max_degree=3.0)),
+    )
+    def test_branch_edges(self, model):
+        top = model.max_capacity
+        self.assert_bitwise(
+            model,
+            [
+                0.0,
+                1.0,
+                math.nextafter(1.0, 2.0),
+                math.nextafter(top, 0.0),
+                top,
+                math.nextafter(top, math.inf),
+                top + 0.5,
+                1e300,
+            ],
+        )
+
+    @given(
+        capacities=arrays(
+            np.float64,
+            st.integers(min_value=1, max_value=64),
+            elements=st.floats(min_value=0.0, max_value=10.0),
+        ),
+        max_degree=st.floats(min_value=1.5, max_value=8.0),
+        share=st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=100)
+    def test_random_arrays(self, capacities, max_degree, share):
+        max_capacity = 1.0 + share * ((1.0 + max_degree) / 2.0 - 1.0)
+        assume(1.0 < max_capacity <= (1.0 + max_degree) / 2.0)
+        model = ThroughputModel(max_capacity=max_capacity, max_degree=max_degree)
+        self.assert_bitwise(model, capacities)
 
 
 class TestValidation:

@@ -15,8 +15,9 @@ path a silent fallback would take) fails the test, and the paper's trace
 shapes must be served by the shared-prefix search rather than declined.
 The pruning is pinned the same way: every reference performance must lie
 under the optimistic bound the search prunes with, a pruned candidate
-must still win when the provisional winner's tail fails, the paper's
-searches must stay under their pruned ``run_trace`` counts, the faulted
+must still win when the provisional winner's tail really trips, only
+uncertified tails may be re-run, the paper's searches must stay under
+their pruned ``run_trace`` counts, the faulted
 searches must make exactly their pruned single-pass counts, and table
 builds inside the envelope must run one search per point, never the
 packed vector batch.
@@ -187,47 +188,57 @@ class TestPruning:
     """The optimistic bound must prune, and pruning must never change a
     result — not even when the provisional winner fails after the burst."""
 
-    def test_pruned_candidate_wins_after_tail_failure(
-        self, yahoo_trace_5min, monkeypatch
-    ):
-        """On the 5-minute degree-3.2 burst the baseline (4.0) serves the
-        whole burst and prunes every other suffix.  Failing its post-burst
-        tail demotes it; the descent must resume and crown a candidate it
-        had pruned, exactly the reference argmax over the survivors."""
-        config = DataCenterConfig()
-        trace = yahoo_trace_5min
+    def test_pruned_candidate_wins_after_tail_failure(self, monkeypatch):
+        """Without DC headroom the post-burst recharge trips real tails.
+        On the 5-minute degree-3.6 burst the provisional winners 3.5, 3.25
+        and 3.75 each trip after the burst; the descent must demote each
+        one, resume, and crown 3.0, a candidate it had pruned before the
+        first trip: exactly the reference argmax."""
+        config = DataCenterConfig(dc_headroom_fraction=0.0)
+        trace = generate_yahoo_trace(burst_degree=3.6, burst_duration_min=5)
         n = len(trace)
         real_run_segment = engine._run_segment
-        suffixes = []
+        calls = []  # (bound, runs the tail, failing step), in call order
 
         def spy(controller, trace_, start, stop):
-            if stop < n:
-                suffixes.append(controller.strategy.upper_bound)
+            failed_at = real_run_segment(controller, trace_, start, stop)
+            calls.append((controller.strategy.upper_bound, stop == n, failed_at))
+            return failed_at
+
+        monkeypatch.setattr(engine, "_run_segment", spy)
+        fast = shared_prefix_oracle_search(trace, DEFAULT_ORACLE_GRID, config)
+        assert fast == reference_search(trace, DEFAULT_ORACLE_GRID, config)
+        trips = [
+            i for i, (_, tail, failed_at) in enumerate(calls)
+            if tail and failed_at is not None
+        ]
+        assert trips  # a real post-burst trip demoted a winner
+        assert fast[0] not in {bound for bound, _, _ in calls[: trips[0]]}
+
+    def test_only_uncertified_tails_are_rerun(self, monkeypatch):
+        """The default facility's tails are certified (see
+        ``_tails_hold``), so its search runs no segment that ends at the
+        trace's end; without DC headroom they are not, and it does."""
+        trace = generate_yahoo_trace(burst_degree=3.2, burst_duration_min=5)
+        real_run_segment = engine._run_segment
+        stops = []
+
+        def spy(controller, trace_, start, stop):
+            stops.append(stop)
             return real_run_segment(controller, trace_, start, stop)
 
         monkeypatch.setattr(engine, "_run_segment", spy)
-        winner, _ = shared_prefix_oracle_search(
-            trace, DEFAULT_ORACLE_GRID, config
-        )
-        assert winner == 4.0
-
-        def failing_tail(controller, trace_, start, stop):
-            if stop == n and controller.strategy.upper_bound == winner:
-                return start  # the winner's first post-burst step raises
-            return real_run_segment(controller, trace_, start, stop)
-
-        monkeypatch.setattr(engine, "_run_segment", failing_tail)
-        demoted = shared_prefix_oracle_search(
-            trace, DEFAULT_ORACLE_GRID, config
-        )
-        survivors = tuple(c for c in DEFAULT_ORACLE_GRID if c != winner)
-        assert demoted == reference_search(trace, survivors, config)
-        assert demoted[0] not in suffixes  # the bound had pruned it
+        for headroom, reruns in ((0.10, False), (0.0, True)):
+            stops.clear()
+            config = DataCenterConfig(dc_headroom_fraction=headroom)
+            shared_prefix_oracle_search(trace, DEFAULT_ORACLE_GRID, config)
+            assert (len(trace) in stops) is reruns
 
     @pytest.mark.parametrize(
         "degree, duration_min, max_calls",
-        # Unpruned, these searches made 17 and 15 run_trace calls.
-        ((3.0, 15, 11), (3.2, 5, 3)),
+        # Unpruned, these searches made 17 and 15 run_trace calls; with
+        # every winner's tail re-run, 11 and 3.
+        ((3.0, 15, 10), (3.2, 5, 2)),
     )
     def test_paper_searches_stay_pruned(
         self, degree, duration_min, max_calls, controller_calls
