@@ -1,12 +1,11 @@
 """Span-engine throughput on two trace shapes and two strategy paths.
 
-Not a paper figure — a performance benchmark of the span-compiled
-stepping path.  ``StepKernel.run_trace`` run-length-encodes the demand
-trace into constant-demand spans and steps every sample, paying demand
-handling once per span: a plateau-heavy trace has a dozen spans, a fully
-jittered trace (every sample its own span) one per sample.  Each
-benchmark reports the trace's span count next to the measured
-throughput.
+Not a paper figure — a performance benchmark of the kernel's trace
+segments.  ``StepKernel.run_trace`` steps every sample in one flat loop,
+whatever the trace's shape.  The rows time two shapes: a plateau-heavy
+trace has a dozen spans (runs of identical demand), a fully jittered
+trace (every sample its own span) one per sample.  Each benchmark
+reports the trace's span count next to the measured throughput.
 
 Greedy's bound is constant, so its rows skip the strategy observation.
 The Prediction and Heuristic rows time the paper's practical strategies

@@ -44,16 +44,18 @@ side's code, whatever files the change touches.  Each row of
 benchmark file imported against that side's package, and its timed
 callable is called alternately per iteration (which side runs first
 alternates too).  Both sides must return equal results (compared
-pickled).  The result goes to ``benchmarks/pairs/engine-<base>.json``:
-per row, each side's seconds per iteration and the median and quartiles
-of the per-iteration change/parent ops ratio, the factor
-``BENCH_baseline.json`` scales a row's ops by.
+pickled, a result's ``kernel`` object left out).  The result goes to
+``benchmarks/pairs/engine-<base>.json``: per row, each side's seconds
+per iteration and the median and quartiles of the per-iteration
+change/parent ops ratio, the factor ``BENCH_baseline.json`` scales a
+row's ops by.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -329,6 +331,20 @@ def capture_row(side: Side, filename: str, name: str) -> Callable[[], Any]:
     raise SystemExit(f"error: {name} never called its benchmark fixture")
 
 
+def comparable(result: Any) -> Any:
+    """``result`` as ``time_row`` compares it: a dataclass with a
+    ``kernel`` field (``BatchRunResult``) has it set to None, since the
+    kernel object's private attributes may differ between sides whose
+    every result array is equal."""
+    if (
+        dataclasses.is_dataclass(result)
+        and not isinstance(result, type)
+        and any(f.name == "kernel" for f in dataclasses.fields(result))
+    ):
+        return dataclasses.replace(result, kernel=None)
+    return result
+
+
 def time_row(
     name: str,
     fns: Mapping[str, Callable[[], Any]],
@@ -337,11 +353,12 @@ def time_row(
 ) -> Dict[str, Any]:
     """Alternate the sides over ``iterations`` timed iterations of row
     ``name`` after one untimed call per side, whose results must be
-    equal (compared pickled, inside each side's own modules)."""
+    equal (compared pickled, inside each side's own modules, after
+    :func:`comparable`)."""
     results = {}
     for side in ("parent", "change"):
         with sides[side].active():
-            results[side] = pickle.dumps(fns[side]())
+            results[side] = pickle.dumps(comparable(fns[side]()))
     if results["parent"] != results["change"]:
         raise SystemExit(f"error: {name}: the parent and the change differ")
     with sides["change"].active():

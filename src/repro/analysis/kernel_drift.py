@@ -115,16 +115,6 @@ ALLOWED_REFERENCE_ONLY: Dict[Tuple[str, str], str] = {
 
 #: Kernel-side reads with no reference counterpart, by design.
 ALLOWED_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
-    ("Trace", "samples"): (
-        "span compilation: run_trace RLE-encodes the trace into "
-        "constant-demand spans before stepping; the reference is handed "
-        "one sample at a time by the engine loop and never sees the "
-        "Trace object"
-    ),
-    ("Trace", "dt_s"): (
-        "span compilation: a segment times step i as i * trace.dt_s; "
-        "the reference receives time_s precomputed by its caller"
-    ),
     ("PhaseTracker", "current_phase"): (
         "deferred accumulators: every segment loads the tracker's phase "
         "into a local at its start and writes it back once at its end; "
@@ -178,15 +168,6 @@ ALLOWED_SCALAR_KERNEL_ONLY: Dict[Tuple[str, str], str] = {
         "read only to format BreakerTrippedError messages; the vector "
         "kernel latches failure codes (FAIL_PDU/FAIL_DC) instead of "
         "raising"
-    ),
-    ("Trace", "samples"): (
-        "scalar run_trace span-compiles a whole Trace; the vector "
-        "kernel is stepped per sample by its batch drivers and never "
-        "holds a Trace"
-    ),
-    ("Trace", "dt_s"): (
-        "scalar run_trace reads the trace period for its step "
-        "timestamps; the vector kernel's drivers pass time_s in"
     ),
 }
 

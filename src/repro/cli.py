@@ -338,17 +338,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.simulation.engine import oracle_for_trace, run_simulation
 
     trace = _trace_by_name(args.trace)
-    if args.spans:
-        stats_ = trace.span_stats()
-        lengths = sorted(s.length for s in trace.spans())
-        print(f"span profile of trace {trace.name!r}:")
-        print(f"samples             : {stats_.n_samples}")
-        print(f"spans               : {stats_.n_spans}")
-        print(f"mean span length    : {stats_.mean_length:.2f}")
-        print(f"p95 span length     : {stats_.p95_length:.2f}")
-        print(f"max span length     : {stats_.max_length}")
-        print(f"median span length  : {lengths[len(lengths) // 2]}")
-        return 0
     dc = build_datacenter()
     use_kernel = not args.reference
     # Warm-up outside the profile: facility construction, kernel
@@ -790,10 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--output", metavar="FILE",
                          help="also dump the raw profile for pstats/"
                               "snakeviz")
-    profile.add_argument("--spans", action="store_true",
-                         help="print the trace's RLE span statistics "
-                              "(count, mean/p95/max/median length) "
-                              "instead of profiling")
     profile.set_defaults(func=_cmd_profile)
 
     export = subparsers.add_parser(

@@ -231,7 +231,7 @@ class SprintingController:
         a counter may omit it; the rounded fallback then only feeds
         observations for which no index-aligned planning happens.
         Kernel-backed controllers run the period as a one-sample segment
-        of the span engine (:meth:`StepKernel.run_sample`).
+        of the kernel's step loop (:meth:`StepKernel.run_sample`).
         """
         if step_index is None:
             step_index = int(round(time_s / self.settings.dt_s))
@@ -245,17 +245,17 @@ class SprintingController:
 
         Equivalent to ``for j, d in enumerate(trace): i = start_index + j;
         self.step(d, i * trace.dt_s, i)``.  Kernel-backed controllers take
-        the span-compiled fast path (:meth:`StepKernel.run_trace` —
-        bit-identical, one step per sample over RLE spans);
-        reference controllers fall back to per-sample stepping.  One call
-        is one *segment*: callers that must act between samples (fault
-        injection, forked searches) split a run into consecutive segments,
-        and when a step raises, the steps before it stay committed — the
-        failing index is ``start_index`` plus the rows the segment added
-        to :attr:`history`.  The trace's sampling period is the caller's
-        contract, exactly as for :meth:`step` (the engine validates it
-        against ``settings.dt_s``).  ``start_index`` must be an integer
-        >= 0, checked before any step runs on either path.
+        the fast path (:meth:`StepKernel.run_trace` — bit-identical, one
+        loop over the samples); reference controllers fall back to
+        per-sample stepping.  One call is one *segment*: callers that must
+        act between samples (fault injection, forked searches) split a run
+        into consecutive segments, and when a step raises, the steps before
+        it stay committed — the failing index is ``start_index`` plus the
+        rows the segment added to :attr:`history`.  The trace's sampling
+        period is the caller's contract, exactly as for :meth:`step` (the
+        engine validates it against ``settings.dt_s``).  ``start_index``
+        must be an integer >= 0, checked before any step runs on either
+        path.
         """
         try:
             start_index = operator.index(start_index)

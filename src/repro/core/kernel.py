@@ -9,9 +9,10 @@ facility, hoists every such invariant, and runs control periods with the
 *identical* sequence of floating-point operations as the reference
 :meth:`repro.core.controller.SprintingController._step_reference` —
 bit-for-bit, as the differential property tests assert.  It has one step
-body, ``StepKernel._run``, behind both :meth:`StepKernel.run_trace` (a
-segment of a trace) and :meth:`StepKernel.run_sample` (a single control
-period, run as a one-sample segment).
+body, ``StepKernel._run``, a single loop over a segment's samples, behind
+both :meth:`StepKernel.run_trace` (a segment of a trace) and
+:meth:`StepKernel.run_sample` (a single control period, run as a
+one-sample segment).
 
 What fault injection can mutate is a *segment constant*: read once at
 the start of each segment, never hoisted into the kernel.  The engine
@@ -37,7 +38,7 @@ on ties and when the second is NaN, so they equal them for every float.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -149,17 +150,14 @@ class StepKernel:
 
         # --- throughput quadratic --------------------------------------
         tp = cluster.throughput
+        self._cluster = cluster
         self._throughput = tp
-        self._tp_max_capacity = tp.max_capacity
         self._tp_max_degree = tp.max_degree
         self._tp_max_eps = tp.max_degree + 1e-9
         gain = tp.max_capacity - 1.0
         span = tp.max_degree - 1.0
         self._tp_b = 2.0 * gain / span
         self._tp_c = gain / (span * span)
-        self._tp_b_sq = self._tp_b * self._tp_b
-        self._tp_four_c = 4.0 * self._tp_c
-        self._tp_two_c = 2.0 * self._tp_c
 
         # --- power topology --------------------------------------------
         self._topology = topology
@@ -193,18 +191,6 @@ class StepKernel:
     # ------------------------------------------------------------------
     # Cluster arithmetic (inlined ServerCluster / ChipModel / Throughput)
     # ------------------------------------------------------------------
-    def _power_at_degree(self, degree: float) -> float:
-        if not degree >= 0.0:
-            require_non_negative(degree, "degree")
-        if degree > self._chip_max_eps:
-            raise ConfigurationError(
-                f"degree {degree!r} exceeds the chip maximum "
-                f"{self._chip_max_degree!r}"
-            )
-        active = min(degree * self._normal_cores, self._total_cores_f)
-        chip_p = self._idle_chip_power_w + self._core_power_w * active
-        return self._n_servers * (self._non_cpu_power_w + chip_p)
-
     def _degree_for_power(self, fleet_power_w: float) -> float:
         if not fleet_power_w >= 0.0:
             require_non_negative(fleet_power_w, "fleet_power_w")
@@ -223,15 +209,6 @@ class StepKernel:
             return degree
         x = degree - 1.0
         return 1.0 + self._tp_b * x - self._tp_c * x * x
-
-    def _degree_for_capacity(self, c_val: float) -> float:
-        if c_val <= 1.0:
-            return c_val
-        if c_val >= self._tp_max_capacity:
-            return self._tp_max_degree
-        discriminant = self._tp_b_sq - self._tp_four_c * (c_val - 1.0)
-        x = (self._tp_b - math.sqrt(max(0.0, discriminant))) / self._tp_two_c
-        return min(1.0 + x, self._tp_max_degree)
 
     # ------------------------------------------------------------------
     # Breaker arithmetic (inlined CircuitBreaker / TripCurve)
@@ -367,7 +344,7 @@ class StepKernel:
         return degree, use_tes
 
     # ------------------------------------------------------------------
-    # The control loop: one span-compiled body for every scalar run
+    # The control loop: one step body for every scalar run
     # ------------------------------------------------------------------
     def run_trace(
         self, ctrl: SprintingController, trace: Trace, start_index: int = 0
@@ -386,8 +363,23 @@ class StepKernel:
         into consecutive segments is therefore invisible in the results,
         which is what lets fault injection, forked searches and MPC
         rollouts run through here.
+
+        The timestamps, demands and needed degrees are computed as arrays
+        once per segment and handed to the step body as lists of Python
+        numbers.  Each element equals its scalar form: an index below 2**53
+        converts to a float exactly, so ``arange * dt_s`` is the same
+        multiply as ``i * dt_s``, and ``degrees_for_capacities`` equals
+        ``degree_for_capacity`` bit for bit.
         """
-        self._run(ctrl, trace, start_index, 0.0, 0.0)
+        samples = trace.samples
+        steps = np.arange(start_index, start_index + samples.size)
+        self._run(
+            ctrl,
+            start_index,
+            (steps * trace.dt_s).tolist(),
+            samples.tolist(),
+            self._throughput.degrees_for_capacities(samples).tolist(),
+        )
 
     def run_sample(
         self,
@@ -399,32 +391,32 @@ class StepKernel:
         """One control period at an explicit ``time_s``: a one-sample segment.
 
         Runs the same body as :meth:`run_trace` and returns the committed
-        step's telemetry; the span set-up (RLE) is skipped because a single
-        sample has nothing to compile.
+        step's telemetry.
         """
         require_non_negative(demand, "demand")
         require_non_negative(time_s, "time_s")
-        step = self._run(ctrl, None, step_index, demand, time_s)
-        assert step is not None
-        return step
+        return self._run(
+            ctrl,
+            step_index,
+            [time_s],
+            [demand],
+            [self._throughput.degree_for_capacity(demand)],
+        )
 
     def _run(
         self,
         ctrl: SprintingController,
-        trace: Optional[Trace],
         start_index: int,
-        demand: float,
-        time_s: float,
-    ) -> Optional[ControlStep]:
-        """The step body: a segment of ``trace``, or the one sample
-        ``demand`` at ``time_s`` when ``trace`` is None (returning its
-        ``ControlStep``).  Each step does only the work that can change
-        its result:
+        times: List[float],
+        demands: List[float],
+        degrees: List[float],
+    ) -> ControlStep:
+        """The step body: one segment of at least one sample.  Sample ``j``
+        runs as step ``start_index + j`` at ``times[j]``, with demand
+        ``demands[j]`` and needed degree ``degrees[j]``; the last step's
+        ``ControlStep`` is returned.  Each step does only the work that can
+        change its result:
 
-        * the segment is run-length-encoded into constant-demand spans, so
-          demand handling and span-invariant products are paid per span
-          (the span demands and their needed degrees are computed as
-          arrays and read as Python lists once per segment);
         * constant-bound strategies skip the observation and the budget
           fraction: they never read it, and it feeds no stored state;
         * out of a burst (no budget snapshot) the budget fraction is
@@ -454,36 +446,14 @@ class StepKernel:
           through memoryviews taken once per segment after
           ``history.reserve`` (a float store through a memoryview skips
           numpy's scalar conversion) and released in the ``finally``,
-          instead of materialising a frozen ``ControlStep`` per step.  The
-          reserve covers every row of the segment, so the columns are
-          never reallocated under the views.
+          instead of materialising a frozen ``ControlStep`` per step: only
+          the last step's is built, as the return value.  The reserve
+          covers every row of the segment, so the columns are never
+          reallocated under the views.
 
-        Every sample is stepped.  Fault events only ever land between two
-        segments: the engine ends each segment at the next fault boundary.
+        Fault events only ever land between two segments: the engine ends
+        each segment at the next fault boundary.
         """
-        if trace is None:
-            n_samples = 1
-            trace_dt = 0.0
-            bounds = [start_index, start_index + 1]
-            demands = [demand]
-            # One sample: numpy's call overhead would outweigh the scalar.
-            span_degrees = [self._degree_for_capacity(demand)]
-        else:
-            samples = trace.samples
-            n_samples = int(samples.size)
-            trace_dt = trace.dt_s
-            span_starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
-            # Each span's demand and needed degree, computed once per segment
-            # and read as Python floats: only the span starts, so a long flat
-            # span converts one.
-            span_demands = np.concatenate((samples[:1], samples[span_starts]))
-            demands = span_demands.tolist()
-            span_degrees = self._throughput.degrees_for_capacities(
-                span_demands
-            ).tolist()
-            bounds = [start_index]
-            bounds.extend((span_starts + start_index).tolist())
-            bounds.append(start_index + n_samples)
         settings = ctrl.settings
         dt = settings.dt_s
         battery = self._battery
@@ -574,7 +544,7 @@ class StepKernel:
 
         # Memoryviews of the columns, taken after the reserve so no row of
         # this segment reallocates under them.
-        history.reserve(len(history) + n_samples)
+        history.reserve(len(history) + len(times))
         cols = history._cols
         col_time = memoryview(cols["time_s"])
         col_demand = memoryview(cols["demand"])
@@ -616,483 +586,477 @@ class StepKernel:
         tip_p2 = tip[_PHASE2]
         tip_p3 = tip[_PHASE3]
         last_phase = phases.current_phase
+        i = start_index
         try:
-            for b in range(len(bounds) - 1):
-                i = bounds[b]
-                end = bounds[b + 1]
-                demand = demands[b]
+            for time_s, demand, needed in zip(times, demands, degrees):
                 demand_dt = demand * dt
-                needed = span_degrees[b]
-                while i < end:
-                    if trace is not None:
-                        time_s = i * trace_dt
 
-                    # --- burst detector (inlined OnlineBurstDetector.observe)
-                    if demand > detector_capacity:
-                        if not detector.in_burst:
-                            detector.in_burst = True
-                            detector.burst_started_at_s = time_s
+                # --- burst detector (inlined OnlineBurstDetector.observe)
+                if demand > detector_capacity:
+                    if not detector.in_burst:
+                        detector.in_burst = True
+                        detector.burst_started_at_s = time_s
+                    detector._below_since_s = None
+                elif detector.in_burst:
+                    if detector._below_since_s is None:
+                        detector._below_since_s = time_s
+                    if time_s - detector._below_since_s >= hold_off_s:
+                        detector.in_burst = False
                         detector._below_since_s = None
-                    elif detector.in_burst:
-                        if detector._below_since_s is None:
-                            detector._below_since_s = time_s
-                        if time_s - detector._below_since_s >= hold_off_s:
-                            detector.in_burst = False
-                            detector._below_since_s = None
-                    in_burst = detector.in_burst
+                in_burst = detector.in_burst
 
-                    # --- burst edges (snapshot / clear the energy budget) ----
-                    if in_burst and not ctrl._burst_was_active:
-                        total_j = self._remaining_j(budget)
-                        budget._snapshot_total_j = total_j
-                        set_scale = getattr(strategy, "set_budget_scale", None)
-                        if callable(set_scale):
-                            set_scale(total_j)
-                    elif not in_burst and ctrl._burst_was_active:
-                        budget._snapshot_total_j = None
-                    ctrl._burst_was_active = in_burst
+                # --- burst edges (snapshot / clear the energy budget) ----
+                if in_burst and not ctrl._burst_was_active:
+                    total_j = self._remaining_j(budget)
+                    budget._snapshot_total_j = total_j
+                    set_scale = getattr(strategy, "set_budget_scale", None)
+                    if callable(set_scale):
+                        set_scale(total_j)
+                elif not in_burst and ctrl._burst_was_active:
+                    budget._snapshot_total_j = None
+                ctrl._burst_was_active = in_burst
 
-                    # --- time in burst ---------------------------------------
-                    started = detector.burst_started_at_s
-                    if not in_burst or started is None:
+                # --- time in burst ---------------------------------------
+                started = detector.burst_started_at_s
+                if not in_burst or started is None:
+                    time_in_burst = 0.0
+                else:
+                    time_in_burst = time_s - started
+                    if not time_in_burst > 0.0:
                         time_in_burst = 0.0
-                    else:
-                        time_in_burst = time_s - started
-                        if not time_in_burst > 0.0:
-                            time_in_burst = 0.0
 
-                    # --- strategy bound (constant bounds skip the observation)
-                    if const_bound is None:
-                        snap = budget._snapshot_total_j
-                        if snap is None:
-                            # No burst snapshot: the fraction is EB/EB, 1.0
-                            # unless EB <= 0 (a NaN or infinite EB clamps to
-                            # 1.0 too).  The UPS term alone makes EB > 0
-                            # while the battery holds charge (the TES and
-                            # breaker terms are never negative), so the
-                            # trip curves are solved only on an empty one.
-                            if (
-                                battery.energy_j > 0.0
-                                or not self._remaining_j(budget) <= 0.0
-                            ):
+                # --- strategy bound (constant bounds skip the observation)
+                if const_bound is None:
+                    snap = budget._snapshot_total_j
+                    if snap is None:
+                        # No burst snapshot: the fraction is EB/EB, 1.0
+                        # unless EB <= 0 (a NaN or infinite EB clamps to
+                        # 1.0 too).  The UPS term alone makes EB > 0
+                        # while the battery holds charge (the TES and
+                        # breaker terms are never negative), so the
+                        # trip curves are solved only on an empty one.
+                        if (
+                            battery.energy_j > 0.0
+                            or not self._remaining_j(budget) <= 0.0
+                        ):
+                            budget_fraction = 1.0
+                        else:
+                            budget_fraction = 0.0
+                    else:
+                        if snap <= 0.0:
+                            budget_fraction = 0.0
+                        else:
+                            budget_fraction = self._remaining_j(budget) / snap
+                            if not budget_fraction < 1.0:
                                 budget_fraction = 1.0
-                            else:
+                            if not budget_fraction > 0.0:
                                 budget_fraction = 0.0
-                        else:
-                            if snap <= 0.0:
-                                budget_fraction = 0.0
-                            else:
-                                budget_fraction = self._remaining_j(budget) / snap
-                                if not budget_fraction < 1.0:
-                                    budget_fraction = 1.0
-                                if not budget_fraction > 0.0:
-                                    budget_fraction = 0.0
-                        obs = StrategyObservation(
-                            time_s=time_s,
-                            demand=demand,
-                            in_burst=in_burst,
-                            time_in_burst_s=time_in_burst,
-                            budget_fraction_remaining=budget_fraction,
-                            max_degree=max_degree,
-                            step_index=i,
-                        )
-                        upper_bound = strategy.degree_upper_bound(obs)
+                    obs = StrategyObservation(
+                        time_s=time_s,
+                        demand=demand,
+                        in_burst=in_burst,
+                        time_in_burst_s=time_in_burst,
+                        budget_fraction_remaining=budget_fraction,
+                        max_degree=max_degree,
+                        step_index=i,
+                    )
+                    upper_bound = strategy.degree_upper_bound(obs)
+                else:
+                    upper_bound = const_bound
+
+                ctrl.last_needed_degree = needed
+                degree = upper_bound if upper_bound < needed else needed
+                if safety._emergency_latched and 1.0 < degree:
+                    degree = 1.0
+                if pcm is not None:
+                    melted = pcm.melted_j
+                    if melted >= pcm_full_j or pcm._latched:
+                        if 1.0 < degree:
+                            degree = 1.0
                     else:
-                        upper_bound = const_bound
-
-                    ctrl.last_needed_degree = needed
-                    degree = upper_bound if upper_bound < needed else needed
-                    if safety._emergency_latched and 1.0 < degree:
-                        degree = 1.0
-                    if pcm is not None:
-                        melted = pcm.melted_j
-                        if melted >= pcm_full_j or pcm._latched:
-                            if 1.0 < degree:
-                                degree = 1.0
+                        remaining_j = pcm_latent_j - melted
+                        if remaining_j <= 0.0:
+                            sustainable = 1.0
                         else:
-                            remaining_j = pcm_latent_j - melted
-                            if remaining_j <= 0.0:
-                                sustainable = 1.0
-                            else:
-                                sustainable = (
-                                    1.0 + (remaining_j / dt) / pcm_per_degree
-                                )
-                                if pcm_chip_max < sustainable:
-                                    sustainable = pcm_chip_max
-                            if sustainable < degree:
-                                degree = sustainable
-
-                    use_tes = (
-                        in_burst
-                        and tes is not None
-                        and not tes.energy_j <= 1e-9
-                        and time_in_burst >= tes_activation
-                        and degree > _SPRINT_THRESHOLD
-                    )
-
-                    # --- power and thermal fit (inlined _fit_power, the
-                    # cooling split and max_load_for_trip_time) -------------
-                    # Each pass prices the degree (IT power, then the cooling
-                    # split) and checks it against what the breakers and the
-                    # UPS can source; a failed check shrinks the degree.  The
-                    # reference commits at the degree its three checks leave,
-                    # so after three failures a fourth pass only prices the
-                    # shrunken degree.  The commit reuses the last pricing;
-                    # pdu_bound is the last checked pass's.  Once the fit is
-                    # done the thermal fit may move the operating point, and
-                    # then the fit runs once more.  When it does not, the
-                    # reference's second fit would re-run with bit-identical
-                    # arguments against unmutated substrate (``_fit_thermal``
-                    # only ever records a safety event, which the fit never
-                    # reads), so it is skipped.
-                    checks = 0
-                    thermal_pending = True
-                    while True:
-                        if 0.0 <= degree <= chip_max_eps:
-                            active = degree * normal_cores
-                            if total_cores_f < active:
-                                active = total_cores_f
-                            it_power = n_servers * (
-                                non_cpu_power_w
-                                + (idle_chip_power_w + core_power_w * active)
+                            sustainable = (
+                                1.0 + (remaining_j / dt) / pcm_per_degree
                             )
-                        else:
-                            it_power = self._power_at_degree(degree)
-                        heat_via_tes = 0.0
-                        if use_tes and tes is not None:
-                            energy = tes.energy_j
-                            avail = 0.0 if energy <= 1e-9 else tes_max_discharge_w
-                            heat_via_tes = avail if avail < it_power else it_power
-                            rate = energy / dt
-                            if rate < heat_via_tes:
-                                heat_via_tes = rate
-                            if not heat_via_tes > 0.0:
-                                heat_via_tes = 0.0
-                        excess_k = room.temperature_c - setpoint
-                        if excess_k <= 0.0:
-                            recovery = 0.0
-                        else:
-                            recovery = room_hc * excess_k / room_tau
-                        heat_via_chiller = (it_power - heat_via_tes) + recovery
-                        if chiller_removal < heat_via_chiller:
-                            heat_via_chiller = chiller_removal
-                        cooling_electric = overhead * (
-                            heat_via_chiller + aux_share * heat_via_tes
-                        )
-                        if checks < 3:
-                            if pdu_breaker.tripped:
-                                own = 0.0
-                            else:
-                                head = 1.0 - pdu_breaker.trip_fraction
-                                if head <= 0.0:
-                                    own = math.nextafter(pdu_rated, 0.0)
-                                else:
-                                    t = reserve / head
-                                    if t <= pdu_c.inst_time:
-                                        o = pdu_c.inst_o
-                                    else:
-                                        o = math.sqrt(pdu_c.K / t)
-                                        if o < pdu_c.hold_lo:
-                                            o = pdu_c.hold_lo
-                                        if o > pdu_c.inst_cap:
-                                            o = pdu_c.inst_cap
-                                    own = pdu_rated * (1.0 + o)
-                            if dc_breaker.tripped:
-                                parent_total = 0.0
-                            else:
-                                head = 1.0 - dc_breaker.trip_fraction
-                                if head <= 0.0:
-                                    parent_total = math.nextafter(dc_rated, 0.0)
-                                else:
-                                    t = reserve / head
-                                    if t <= dc_c.inst_time:
-                                        o = dc_c.inst_o
-                                    else:
-                                        o = math.sqrt(dc_c.K / t)
-                                        if o < dc_c.hold_lo:
-                                            o = dc_c.hold_lo
-                                        if o > dc_c.inst_cap:
-                                            o = dc_c.inst_cap
-                                    parent_total = dc_rated * (1.0 + o)
-                            parent_share = parent_total - cooling_electric
-                            parent_share = (
-                                parent_share if parent_share > 0.0 else 0.0
-                            ) / n_pdus
-                            pdu_bound = parent_share if parent_share < own else own
-                            usable_j = (
-                                battery.energy_j * n_batteries - ups_floor_per_pdu
-                            )
-                            if not usable_j > 0.0:
-                                usable_j = 0.0
-                            if battery.energy_j <= 1e-9:
-                                avail_w = 0.0 * n_batteries
-                            else:
-                                avail_w = max_discharge_w * n_batteries
-                            usable_w = usable_j / dt
-                            ups_power = usable_w if usable_w < avail_w else avail_w
-                            available = (pdu_bound + ups_power) * n_pdus
-                            if not it_power <= available * (1.0 + 1e-12):
-                                shrunk = self._degree_for_power(available)
-                                if shrunk < degree:
-                                    degree = shrunk
-                                checks += 1
-                                continue
-                        if not thermal_pending:
-                            break
-                        thermal_pending = False
-                        if threshold - room.temperature_c > thermal_margin:
-                            break
-                        t_degree, t_use_tes = self._fit_thermal(
-                            ctrl, degree, use_tes, time_s
-                        )
-                        if t_degree == degree and t_use_tes == use_tes:
-                            break
-                        degree = t_degree
-                        use_tes = t_use_tes
-                        checks = 0
+                            if pcm_chip_max < sustainable:
+                                sustainable = pcm_chip_max
+                        if sustainable < degree:
+                            degree = sustainable
 
-                    # --- commit (inlined SprintingController._commit) --------
-                    if heat_via_tes > 0.0:
-                        self._tes_absorb(heat_via_tes, dt)
-                    # --- inlined Room.step (the TES draw leaves the room
-                    # temperature, so the fit's excess_k still holds) -------
-                    gap_w = it_power - (heat_via_chiller + heat_via_tes)
-                    if gap_w >= 0.0:
-                        room.temperature_c += gap_w * dt / room_hc
-                    elif excess_k > 0.0:
-                        cooling_capacity_k = -gap_w * dt / room_hc
-                        drop_k = excess_k * room_decay
-                        room.temperature_c -= (
-                            cooling_capacity_k
-                            if cooling_capacity_k < drop_k
-                            else drop_k
+                use_tes = (
+                    in_burst
+                    and tes is not None
+                    and not tes.energy_j <= 1e-9
+                    and time_in_burst >= tes_activation
+                    and degree > _SPRINT_THRESHOLD
+                )
+
+                # --- power and thermal fit (inlined _fit_power, the
+                # cooling split and max_load_for_trip_time) -------------
+                # Each pass prices the degree (IT power, then the cooling
+                # split) and checks it against what the breakers and the
+                # UPS can source; a failed check shrinks the degree.  The
+                # reference commits at the degree its three checks leave,
+                # so after three failures a fourth pass only prices the
+                # shrunken degree.  The commit reuses the last pricing;
+                # pdu_bound is the last checked pass's.  Once the fit is
+                # done the thermal fit may move the operating point, and
+                # then the fit runs once more.  When it does not, the
+                # reference's second fit would re-run with bit-identical
+                # arguments against unmutated substrate (``_fit_thermal``
+                # only ever records a safety event, which the fit never
+                # reads), so it is skipped.
+                checks = 0
+                thermal_pending = True
+                while True:
+                    if 0.0 <= degree <= chip_max_eps:
+                        active = degree * normal_cores
+                        if total_cores_f < active:
+                            active = total_cores_f
+                        it_power = n_servers * (
+                            non_cpu_power_w
+                            + (idle_chip_power_w + core_power_w * active)
                         )
-                    temperature = room.temperature_c
-                    if temperature > room.peak_temperature_c:
-                        room.peak_temperature_c = temperature
-                    if temperature >= threshold:
-                        raise ThermalEmergencyError(temperature, threshold)
-
-                    recharge_w = 0.0
-                    if recharge_when_idle and not in_burst:
-                        capacity_j = battery_capacity_j
-                        if battery.energy_j / capacity_j < 1.0:
-                            per_pdu_load = it_power / n_pdus
-                            spare = pdu_rated - per_pdu_load
-                            if not spare > 0.0:
-                                spare = 0.0
-                            recharge_w = spare * max_recharge_fraction
-                            if recharge_w > 0.0:
-                                facility_w = recharge_w * n_pdus
-                                per_battery_w = (facility_w / n_pdus) / n_batteries
-                                stored = per_battery_w * dt * efficiency
-                                headroom = capacity_j - battery.energy_j
-                                if stored > headroom:
-                                    stored = headroom
-                                battery.energy_j += stored
-
-                    # --- power topology (inlined PowerTopology.step / Pdu) ---
-                    server_demand = it_power + recharge_w * n_pdus
-                    grid_bound = pdu_bound + recharge_w
-                    per_pdu_demand = server_demand / n_pdus
-                    grid_w = (
-                        grid_bound
-                        if grid_bound < per_pdu_demand
-                        else per_pdu_demand
+                    else:
+                        # Out of range: the substrate method raises.
+                        it_power = self._cluster.power_at_degree_w(degree)
+                    heat_via_tes = 0.0
+                    if use_tes and tes is not None:
+                        energy = tes.energy_j
+                        avail = 0.0 if energy <= 1e-9 else tes_max_discharge_w
+                        heat_via_tes = avail if avail < it_power else it_power
+                        rate = energy / dt
+                        if rate < heat_via_tes:
+                            heat_via_tes = rate
+                        if not heat_via_tes > 0.0:
+                            heat_via_tes = 0.0
+                    excess_k = room.temperature_c - setpoint
+                    if excess_k <= 0.0:
+                        recovery = 0.0
+                    else:
+                        recovery = room_hc * excess_k / room_tau
+                    heat_via_chiller = (it_power - heat_via_tes) + recovery
+                    if chiller_removal < heat_via_chiller:
+                        heat_via_chiller = chiller_removal
+                    cooling_electric = overhead * (
+                        heat_via_chiller + aux_share * heat_via_tes
                     )
-                    shortfall_w = per_pdu_demand - grid_w
-                    ups_w = 0.0
-                    if shortfall_w > 0.0:
-                        usable_j = battery.energy_j - per_floor_j
+                    if checks < 3:
+                        if pdu_breaker.tripped:
+                            own = 0.0
+                        else:
+                            head = 1.0 - pdu_breaker.trip_fraction
+                            if head <= 0.0:
+                                own = math.nextafter(pdu_rated, 0.0)
+                            else:
+                                t = reserve / head
+                                if t <= pdu_c.inst_time:
+                                    o = pdu_c.inst_o
+                                else:
+                                    o = math.sqrt(pdu_c.K / t)
+                                    if o < pdu_c.hold_lo:
+                                        o = pdu_c.hold_lo
+                                    if o > pdu_c.inst_cap:
+                                        o = pdu_c.inst_cap
+                                own = pdu_rated * (1.0 + o)
+                        if dc_breaker.tripped:
+                            parent_total = 0.0
+                        else:
+                            head = 1.0 - dc_breaker.trip_fraction
+                            if head <= 0.0:
+                                parent_total = math.nextafter(dc_rated, 0.0)
+                            else:
+                                t = reserve / head
+                                if t <= dc_c.inst_time:
+                                    o = dc_c.inst_o
+                                else:
+                                    o = math.sqrt(dc_c.K / t)
+                                    if o < dc_c.hold_lo:
+                                        o = dc_c.hold_lo
+                                    if o > dc_c.inst_cap:
+                                        o = dc_c.inst_cap
+                                parent_total = dc_rated * (1.0 + o)
+                        parent_share = parent_total - cooling_electric
+                        parent_share = (
+                            parent_share if parent_share > 0.0 else 0.0
+                        ) / n_pdus
+                        pdu_bound = parent_share if parent_share < own else own
+                        usable_j = (
+                            battery.energy_j * n_batteries - ups_floor_per_pdu
+                        )
                         if not usable_j > 0.0:
                             usable_j = 0.0
-                        deliverable = shortfall_w / n_batteries
-                        if max_discharge_w < deliverable:
-                            deliverable = max_discharge_w
-                        usable_w = usable_j / dt
-                        if usable_w < deliverable:
-                            deliverable = usable_w
-                        # The reference's clamp at 0.0 is folded into the
-                        # test: a draw that is not positive leaves ups_w 0.0.
-                        if deliverable > 0.0:
-                            drawn_j = deliverable * dt
-                            energy = battery.energy_j - drawn_j
-                            battery.energy_j = energy if energy > 0.0 else 0.0
-                            battery.total_discharged_j += drawn_j
-                            battery.equivalent_full_cycles += (
-                                drawn_j / battery_capacity_j
-                            )
-                            ups_w = deliverable * n_batteries
-                    deficit_per_pdu = per_pdu_demand - grid_w - ups_w
-                    if not deficit_per_pdu > 0.0:
-                        deficit_per_pdu = 0.0
-                    # Breakers: the hold region (not tripped, load within
-                    # hold_hi of the rating; a NaN ratio fails the test)
-                    # inlined from _breaker_step, which keeps the tripped
-                    # and overload branches.  A negative overload, which
-                    # _breaker_step clamps to 0, passes the test either way:
-                    # hold_hi is never negative.
-                    if (
-                        not pdu_breaker.tripped
-                        and grid_w / pdu_rated - 1.0 <= pdu_hold_hi
-                    ):
-                        if grid_w < pdu_rated:
-                            pdu_breaker.trip_fraction *= pdu_cool
-                        pdu_breaker._time_s += dt
-                    else:
-                        self._breaker_step(pdu_breaker, pdu_c, grid_w, dt)
-                    pdu_grid_total = grid_w * n_pdus
-                    ups_total = ups_w * n_pdus
-                    deficit_total = deficit_per_pdu * n_pdus
-                    dc_feed = pdu_grid_total + cooling_electric
-                    if (
-                        not dc_breaker.tripped
-                        and dc_feed / dc_rated - 1.0 <= dc_hold_hi
-                    ):
-                        if dc_feed < dc_rated:
-                            dc_breaker.trip_fraction *= dc_cool
-                        dc_breaker._time_s += dt
-                    else:
-                        self._breaker_step(dc_breaker, dc_c, dc_feed, dt)
-
-                    # --- admission + telemetry -------------------------------
-                    effective_power = it_power - deficit_total
-                    if deficit_total <= 1e-9:
-                        effective_degree = degree
-                    else:
-                        effective_degree = self._degree_for_power(effective_power)
-                    # _capacity_at_degree inlined on its sub-sprint fast path
-                    # (identity below 1.0); the quadratic keeps the helper.
-                    if 0.0 <= effective_degree <= 1.0:
-                        capacity = effective_degree
-                    else:
-                        capacity = self._capacity_at_degree(effective_degree)
-
-                    served = capacity if capacity < demand else demand
-                    dropped = demand - served
-
-                    pdu_overload_w = pdu_grid_total - pdu_rated_total
-                    if not pdu_overload_w > 0.0:
-                        pdu_overload_w = 0.0
-                    dc_overload_w = dc_feed - dc_rated
-                    if not dc_overload_w > 0.0:
-                        dc_overload_w = 0.0
-                    cb_overload_w = (
-                        dc_overload_w
-                        if dc_overload_w > pdu_overload_w
-                        else pdu_overload_w
-                    )
-                    electric_without_tes = overhead * (
-                        chiller_removal if chiller_removal < it_power else it_power
-                    )
-                    tes_saved_w = electric_without_tes - cooling_electric
-                    if not tes_saved_w > 0.0:
-                        tes_saved_w = 0.0
-
-                    # The accumulator adds: independent sums, so their order
-                    # against each other leaves every value unchanged.
-                    sprinting = effective_degree > _SPRINT_THRESHOLD
-                    if not sprinting:
-                        phase = _IDLE
-                        phase_code = _CODE_IDLE
-                        tip_idle += dt
-                    elif heat_via_tes > _ACTIVE_POWER_EPS_W:
-                        phase = _PHASE3
-                        phase_code = _CODE_PHASE3
-                        tip_p3 += dt
-                    elif ups_total > _ACTIVE_POWER_EPS_W:
-                        phase = _PHASE2
-                        phase_code = _CODE_PHASE2
-                        tip_p2 += dt
-                    else:
-                        phase = _PHASE1
-                        phase_code = _CODE_PHASE1
-                        tip_p1 += dt
-                    last_phase = phase
-                    served_acc += served * dt
-                    dropped_acc += dropped * dt
-                    demand_acc += demand_dt
-                    cb_acc += (cb_overload_w if sprinting else 0.0) * dt
-                    ups_acc += ups_total * dt
-                    tes_acc += tes_saved_w * dt
-
-                    # --- telemetry row (direct StepLog column writes) --------
-                    col_time[row] = time_s
-                    col_demand[row] = demand
-                    col_upper[row] = upper_bound
-                    col_degree[row] = effective_degree
-                    col_capacity[row] = capacity
-                    col_served[row] = served
-                    col_dropped[row] = dropped
-                    col_it[row] = effective_power
-                    col_grid[row] = pdu_grid_total
-                    col_ups[row] = ups_total
-                    col_cb[row] = cb_overload_w
-                    col_tes_heat[row] = heat_via_tes
-                    col_tes_saved[row] = tes_saved_w
-                    col_cooling[row] = cooling_electric
-                    col_room[row] = room.temperature_c
-                    col_bound[row] = pdu_bound
-                    col_phase[row] = phase_code
-                    col_burst[row] = in_burst
-
-                    # --- chip-level PCM (inlined PcmHeatSink.step) -----------
-                    if pcm is not None:
-                        d = effective_degree
-                        if not d >= 0.0:
-                            require_non_negative(d, "degree")
-                        if d > pcm_chip_max_eps:
-                            raise ConfigurationError(
-                                f"degree {d!r} exceeds the chip maximum "
-                                f"{pcm_chip_max!r}"
-                            )
-                        active = d * pcm_normal_cores
-                        if pcm_total_cores_f < active:
-                            active = pcm_total_cores_f
-                        # The clamp at 0.0 is folded into the melt test.
-                        excess = (pcm_idle_w + pcm_core_w * active) - pcm_normal_w
-                        if excess > 0.0:
-                            melted = pcm.melted_j + excess * dt
-                            if not melted < pcm_latent_j:
-                                melted = pcm_latent_j
-                            pcm.melted_j = melted
-                            if melted >= pcm_full_j:
-                                pcm._latched = True
+                        if battery.energy_j <= 1e-9:
+                            avail_w = 0.0 * n_batteries
                         else:
-                            melted = pcm.melted_j - pcm_refreeze_j
-                            if not melted > 0.0:
-                                melted = 0.0
-                            pcm.melted_j = melted
-                            if melted == 0.0:
-                                pcm._latched = False
+                            avail_w = max_discharge_w * n_batteries
+                        usable_w = usable_j / dt
+                        ups_power = usable_w if usable_w < avail_w else avail_w
+                        available = (pdu_bound + ups_power) * n_pdus
+                        if not it_power <= available * (1.0 + 1e-12):
+                            shrunk = self._degree_for_power(available)
+                            if shrunk < degree:
+                                degree = shrunk
+                            checks += 1
+                            continue
+                    if not thermal_pending:
+                        break
+                    thermal_pending = False
+                    if threshold - room.temperature_c > thermal_margin:
+                        break
+                    t_degree, t_use_tes = self._fit_thermal(
+                        ctrl, degree, use_tes, time_s
+                    )
+                    if t_degree == degree and t_use_tes == use_tes:
+                        break
+                    degree = t_degree
+                    use_tes = t_use_tes
+                    checks = 0
 
-                    if notify_is_real:
-                        strategy.notify_realized(effective_degree, dt, in_burst)
-                    row += 1
-                    history._n = row
-                    i += 1
+                # --- commit (inlined SprintingController._commit) --------
+                if heat_via_tes > 0.0:
+                    self._tes_absorb(heat_via_tes, dt)
+                # --- inlined Room.step (the TES draw leaves the room
+                # temperature, so the fit's excess_k still holds) -------
+                gap_w = it_power - (heat_via_chiller + heat_via_tes)
+                if gap_w >= 0.0:
+                    room.temperature_c += gap_w * dt / room_hc
+                elif excess_k > 0.0:
+                    cooling_capacity_k = -gap_w * dt / room_hc
+                    drop_k = excess_k * room_decay
+                    room.temperature_c -= (
+                        cooling_capacity_k
+                        if cooling_capacity_k < drop_k
+                        else drop_k
+                    )
+                temperature = room.temperature_c
+                if temperature > room.peak_temperature_c:
+                    room.peak_temperature_c = temperature
+                if temperature >= threshold:
+                    raise ThermalEmergencyError(temperature, threshold)
 
-            if trace is None:
-                return self._ControlStep(
-                    time_s=time_s,
-                    demand=demand,
-                    upper_bound=upper_bound,
-                    degree=effective_degree,
-                    capacity=capacity,
-                    served=served,
-                    dropped=dropped,
-                    phase=phase,
-                    in_burst=in_burst,
-                    it_power_w=effective_power,
-                    grid_w=pdu_grid_total,
-                    ups_w=ups_total,
-                    cb_overload_w=cb_overload_w,
-                    tes_heat_w=heat_via_tes,
-                    tes_electric_saved_w=tes_saved_w,
-                    cooling_electric_w=cooling_electric,
-                    room_temperature_c=room.temperature_c,
-                    pdu_grid_bound_w=pdu_bound,
+                recharge_w = 0.0
+                if recharge_when_idle and not in_burst:
+                    capacity_j = battery_capacity_j
+                    if battery.energy_j / capacity_j < 1.0:
+                        per_pdu_load = it_power / n_pdus
+                        spare = pdu_rated - per_pdu_load
+                        if not spare > 0.0:
+                            spare = 0.0
+                        recharge_w = spare * max_recharge_fraction
+                        if recharge_w > 0.0:
+                            facility_w = recharge_w * n_pdus
+                            per_battery_w = (facility_w / n_pdus) / n_batteries
+                            stored = per_battery_w * dt * efficiency
+                            headroom = capacity_j - battery.energy_j
+                            if stored > headroom:
+                                stored = headroom
+                            battery.energy_j += stored
+
+                # --- power topology (inlined PowerTopology.step / Pdu) ---
+                server_demand = it_power + recharge_w * n_pdus
+                grid_bound = pdu_bound + recharge_w
+                per_pdu_demand = server_demand / n_pdus
+                grid_w = (
+                    grid_bound
+                    if grid_bound < per_pdu_demand
+                    else per_pdu_demand
                 )
+                shortfall_w = per_pdu_demand - grid_w
+                ups_w = 0.0
+                if shortfall_w > 0.0:
+                    usable_j = battery.energy_j - per_floor_j
+                    if not usable_j > 0.0:
+                        usable_j = 0.0
+                    deliverable = shortfall_w / n_batteries
+                    if max_discharge_w < deliverable:
+                        deliverable = max_discharge_w
+                    usable_w = usable_j / dt
+                    if usable_w < deliverable:
+                        deliverable = usable_w
+                    # The reference's clamp at 0.0 is folded into the
+                    # test: a draw that is not positive leaves ups_w 0.0.
+                    if deliverable > 0.0:
+                        drawn_j = deliverable * dt
+                        energy = battery.energy_j - drawn_j
+                        battery.energy_j = energy if energy > 0.0 else 0.0
+                        battery.total_discharged_j += drawn_j
+                        battery.equivalent_full_cycles += (
+                            drawn_j / battery_capacity_j
+                        )
+                        ups_w = deliverable * n_batteries
+                deficit_per_pdu = per_pdu_demand - grid_w - ups_w
+                if not deficit_per_pdu > 0.0:
+                    deficit_per_pdu = 0.0
+                # Breakers: the hold region (not tripped, load within
+                # hold_hi of the rating; a NaN ratio fails the test)
+                # inlined from _breaker_step, which keeps the tripped
+                # and overload branches.  A negative overload, which
+                # _breaker_step clamps to 0, passes the test either way:
+                # hold_hi is never negative.
+                if (
+                    not pdu_breaker.tripped
+                    and grid_w / pdu_rated - 1.0 <= pdu_hold_hi
+                ):
+                    if grid_w < pdu_rated:
+                        pdu_breaker.trip_fraction *= pdu_cool
+                    pdu_breaker._time_s += dt
+                else:
+                    self._breaker_step(pdu_breaker, pdu_c, grid_w, dt)
+                pdu_grid_total = grid_w * n_pdus
+                ups_total = ups_w * n_pdus
+                deficit_total = deficit_per_pdu * n_pdus
+                dc_feed = pdu_grid_total + cooling_electric
+                if (
+                    not dc_breaker.tripped
+                    and dc_feed / dc_rated - 1.0 <= dc_hold_hi
+                ):
+                    if dc_feed < dc_rated:
+                        dc_breaker.trip_fraction *= dc_cool
+                    dc_breaker._time_s += dt
+                else:
+                    self._breaker_step(dc_breaker, dc_c, dc_feed, dt)
+
+                # --- admission + telemetry -------------------------------
+                effective_power = it_power - deficit_total
+                if deficit_total <= 1e-9:
+                    effective_degree = degree
+                else:
+                    effective_degree = self._degree_for_power(effective_power)
+                # _capacity_at_degree inlined on its sub-sprint fast path
+                # (identity below 1.0); the quadratic keeps the helper.
+                if 0.0 <= effective_degree <= 1.0:
+                    capacity = effective_degree
+                else:
+                    capacity = self._capacity_at_degree(effective_degree)
+
+                served = capacity if capacity < demand else demand
+                dropped = demand - served
+
+                pdu_overload_w = pdu_grid_total - pdu_rated_total
+                if not pdu_overload_w > 0.0:
+                    pdu_overload_w = 0.0
+                dc_overload_w = dc_feed - dc_rated
+                if not dc_overload_w > 0.0:
+                    dc_overload_w = 0.0
+                cb_overload_w = (
+                    dc_overload_w
+                    if dc_overload_w > pdu_overload_w
+                    else pdu_overload_w
+                )
+                electric_without_tes = overhead * (
+                    chiller_removal if chiller_removal < it_power else it_power
+                )
+                tes_saved_w = electric_without_tes - cooling_electric
+                if not tes_saved_w > 0.0:
+                    tes_saved_w = 0.0
+
+                # The accumulator adds: independent sums, so their order
+                # against each other leaves every value unchanged.
+                sprinting = effective_degree > _SPRINT_THRESHOLD
+                if not sprinting:
+                    phase = _IDLE
+                    phase_code = _CODE_IDLE
+                    tip_idle += dt
+                elif heat_via_tes > _ACTIVE_POWER_EPS_W:
+                    phase = _PHASE3
+                    phase_code = _CODE_PHASE3
+                    tip_p3 += dt
+                elif ups_total > _ACTIVE_POWER_EPS_W:
+                    phase = _PHASE2
+                    phase_code = _CODE_PHASE2
+                    tip_p2 += dt
+                else:
+                    phase = _PHASE1
+                    phase_code = _CODE_PHASE1
+                    tip_p1 += dt
+                last_phase = phase
+                served_acc += served * dt
+                dropped_acc += dropped * dt
+                demand_acc += demand_dt
+                cb_acc += (cb_overload_w if sprinting else 0.0) * dt
+                ups_acc += ups_total * dt
+                tes_acc += tes_saved_w * dt
+
+                # --- telemetry row (direct StepLog column writes) --------
+                col_time[row] = time_s
+                col_demand[row] = demand
+                col_upper[row] = upper_bound
+                col_degree[row] = effective_degree
+                col_capacity[row] = capacity
+                col_served[row] = served
+                col_dropped[row] = dropped
+                col_it[row] = effective_power
+                col_grid[row] = pdu_grid_total
+                col_ups[row] = ups_total
+                col_cb[row] = cb_overload_w
+                col_tes_heat[row] = heat_via_tes
+                col_tes_saved[row] = tes_saved_w
+                col_cooling[row] = cooling_electric
+                col_room[row] = room.temperature_c
+                col_bound[row] = pdu_bound
+                col_phase[row] = phase_code
+                col_burst[row] = in_burst
+
+                # --- chip-level PCM (inlined PcmHeatSink.step) -----------
+                if pcm is not None:
+                    d = effective_degree
+                    if not d >= 0.0:
+                        require_non_negative(d, "degree")
+                    if d > pcm_chip_max_eps:
+                        raise ConfigurationError(
+                            f"degree {d!r} exceeds the chip maximum "
+                            f"{pcm_chip_max!r}"
+                        )
+                    active = d * pcm_normal_cores
+                    if pcm_total_cores_f < active:
+                        active = pcm_total_cores_f
+                    # The clamp at 0.0 is folded into the melt test.
+                    excess = (pcm_idle_w + pcm_core_w * active) - pcm_normal_w
+                    if excess > 0.0:
+                        melted = pcm.melted_j + excess * dt
+                        if not melted < pcm_latent_j:
+                            melted = pcm_latent_j
+                        pcm.melted_j = melted
+                        if melted >= pcm_full_j:
+                            pcm._latched = True
+                    else:
+                        melted = pcm.melted_j - pcm_refreeze_j
+                        if not melted > 0.0:
+                            melted = 0.0
+                        pcm.melted_j = melted
+                        if melted == 0.0:
+                            pcm._latched = False
+
+                if notify_is_real:
+                    strategy.notify_realized(effective_degree, dt, in_burst)
+                row += 1
+                history._n = row
+                i += 1
+
+            return self._ControlStep(
+                time_s=time_s,
+                demand=demand,
+                upper_bound=upper_bound,
+                degree=effective_degree,
+                capacity=capacity,
+                served=served,
+                dropped=dropped,
+                phase=phase,
+                in_burst=in_burst,
+                it_power_w=effective_power,
+                grid_w=pdu_grid_total,
+                ups_w=ups_total,
+                cb_overload_w=cb_overload_w,
+                tes_heat_w=heat_via_tes,
+                tes_electric_saved_w=tes_saved_w,
+                cooling_electric_w=cooling_electric,
+                room_temperature_c=room.temperature_c,
+                pdu_grid_bound_w=pdu_bound,
+            )
         finally:
             for view in views:
                 view.release()
@@ -1110,4 +1074,3 @@ class StepKernel:
             tip[_PHASE2] = tip_p2
             tip[_PHASE3] = tip_p3
             phases.current_phase = last_phase
-        return None

@@ -78,23 +78,10 @@ class StepLog:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _grow(self) -> None:
-        capacity = 2 * len(self._phase)
-        for name, col in self._cols.items():
-            new = np.empty(capacity, dtype=np.float64)
-            new[: self._n] = col[: self._n]
-            self._cols[name] = new
-        new_phase = np.empty(capacity, dtype=np.int8)
-        new_phase[: self._n] = self._phase[: self._n]
-        self._phase = new_phase
-        new_burst = np.empty(capacity, dtype=np.bool_)
-        new_burst[: self._n] = self._in_burst[: self._n]
-        self._in_burst = new_burst
-
     def append(self, step: "ControlStep") -> None:
         """Append one ``ControlStep`` (list-compatible entry point)."""
         if self._n >= len(self._phase):
-            self._grow()
+            self.reserve(2 * len(self._phase))
         i = self._n
         cols = self._cols
         for name in _FLOAT_FIELDS:
@@ -106,9 +93,9 @@ class StepLog:
     def reserve(self, n: int) -> None:
         """Ensure capacity for at least ``n`` total rows without realloc.
 
-        The span engine calls this once per run so the hot loop can write
-        into stable column arrays; amortized-growth ``append`` behaviour is
-        unchanged when the hint is absent or too small.
+        The step kernel calls this once per segment so its loop can write
+        into stable column arrays; ``append`` grows through it, doubling
+        the capacity.
         """
         capacity = len(self._phase)
         if n <= capacity:
@@ -139,7 +126,7 @@ class StepLog:
         appended row), the ``time_s`` column takes those values instead of
         each step's own ``time_s``.
 
-        No run path calls it: the span engine steps every sample.  It stays
+        No run path calls it: the step kernel steps every sample.  It stays
         because sprintbench's tracer wraps it by name for its
         ``steplog.replayed_*`` metrics (now always 0); it goes with them.
         """

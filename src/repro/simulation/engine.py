@@ -103,9 +103,8 @@ def run_simulation(
     fault_events: list = []
     aborted_at_s: Optional[float] = None
     if fault_plan is None:
-        # Span-compiled fast path: one step per sample over RLE spans,
-        # bit-identical to per-sample stepping (the span differential
-        # suite pins this).
+        # One segment: the kernel's flat sample loop, bit-identical to
+        # per-sample stepping (the span differential suite pins this).
         controller.run_trace(trace)
     else:
         aborted_at_s, fault_events = _run_with_faults(

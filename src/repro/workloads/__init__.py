@@ -32,7 +32,6 @@ from repro.workloads.prediction import (
 )
 from repro.workloads.traces import (
     BurstInterval,
-    DemandSpan,
     SpanStats,
     Trace,
     find_bursts,
@@ -56,7 +55,6 @@ __all__ = [
     "OnlineBurstForecaster",
     "DEFAULT_MS_SEED",
     "DEFAULT_YAHOO_SEED",
-    "DemandSpan",
     "SpanStats",
     "ErroredPredictor",
     "MS_REAL_BURST_DURATION_S",

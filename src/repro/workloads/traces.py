@@ -19,34 +19,14 @@ from repro.units import require_non_negative, require_positive
 
 
 @dataclass(frozen=True, slots=True)
-class DemandSpan:
-    """One maximal run of identical demand samples (an RLE segment).
-
-    ``start`` is the absolute sample index of the first sample of the run,
-    ``length`` the number of consecutive samples carrying exactly (bit-wise)
-    the same ``demand`` value.  The span-compiled engine steps one span at
-    a time, paying per-sample Python dispatch once per span instead of once
-    per dt.
-    """
-
-    start: int
-    length: int
-    demand: float
-
-    @property
-    def end(self) -> int:
-        """One past the last sample index of the run."""
-        return self.start + self.length
-
-
-@dataclass(frozen=True, slots=True)
 class SpanStats:
-    """RLE span statistics of a trace: how many constant-demand spans the
-    span-compiled engine splits it into, and how long they are.
+    """Run-length statistics of a trace: how many maximal runs of
+    bit-wise identical demand (spans) it holds, and how long they are.
 
-    The engine pays demand handling once per span and the step body once
-    per sample, so a fully jittered trace (every sample its own span) has
-    ``n_spans == n_samples`` and a constant trace one span.
+    A fully jittered trace (every sample its own span) has
+    ``n_spans == n_samples`` and a constant trace one span.  The
+    simulation steps every sample either way; the statistics describe
+    the trace's shape only.
     """
 
     n_samples: int
@@ -113,30 +93,10 @@ class Trace:
         return np.arange(self.samples.size) * self.dt_s
 
     # ------------------------------------------------------------------
-    # Run-length-encoded span view
+    # Run-length statistics
     # ------------------------------------------------------------------
-    def spans(self) -> List[DemandSpan]:
-        """Run-length-encode the trace into maximal constant-demand spans.
-
-        Spans partition the sample index range: concatenating them in order
-        reproduces the trace exactly.  Equality is bit-wise float equality,
-        so a span's demand can be replayed without re-reading samples.
-        """
-        samples = self.samples
-        # Boundaries where the value changes; vectorized RLE.
-        starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
-        bounds = np.concatenate(([0], starts, [samples.size]))
-        return [
-            DemandSpan(
-                start=int(bounds[j]),
-                length=int(bounds[j + 1] - bounds[j]),
-                demand=float(samples[bounds[j]]),
-            )
-            for j in range(bounds.size - 1)
-        ]
-
     def span_stats(self) -> SpanStats:
-        """Summarise the RLE structure of the trace (see :class:`SpanStats`)."""
+        """Summarise the trace's runs of identical demand (see :class:`SpanStats`)."""
         samples = self.samples
         starts = np.flatnonzero(samples[1:] != samples[:-1]) + 1
         bounds = np.concatenate(([0], starts, [samples.size]))

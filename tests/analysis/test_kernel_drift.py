@@ -105,8 +105,8 @@ class TestTamperSensitivity:
         # ALLOWED_KERNEL_ONLY ledger exists to surface.
         sources = tampered(
             real_sources,
-            "needed = span_degrees[b]\n",
-            "needed = ctrl._degraded_capacity or span_degrees[b]\n",
+            "degree = upper_bound if upper_bound < needed else needed\n",
+            "degree = ctrl._degraded_capacity or needed\n",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any(
@@ -116,12 +116,12 @@ class TestTamperSensitivity:
         )
 
     def test_folding_the_trace_period_is_detected(self, real_sources):
-        # The span engine's bulk timestamps must come from the trace's
-        # own dt_s, not a folded constant.
+        # A segment's timestamps must come from the trace's own dt_s, not
+        # a folded constant (the constant audit scans the whole file).
         sources = tampered(
             real_sources,
-            "trace_dt = trace.dt_s",
-            "trace_dt = 0.9973",
+            "(steps * trace.dt_s)",
+            "(steps * 0.9973)",
         )
         findings = KernelDriftRule().check_project(sources)
         assert any("0.9973" in f.message for f in findings)
@@ -179,10 +179,13 @@ class TestAllowlistAudit:
 
     def test_empty_reason_is_detected(self, real_sources, monkeypatch):
         monkeypatch.setitem(
-            kernel_drift.ALLOWED_KERNEL_ONLY, ("Trace", "dt_s"), "  "
+            kernel_drift.ALLOWED_KERNEL_ONLY,
+            ("PhaseTracker", "current_phase"),
+            "  ",
         )
         findings = KernelDriftRule().check_project(real_sources)
         assert [f.message for f in findings] == [
-            "ALLOWED_KERNEL_ONLY[('Trace', 'dt_s')] has an empty reason; "
-            "every allowlist entry must say why the divergence is by design"
+            "ALLOWED_KERNEL_ONLY[('PhaseTracker', 'current_phase')] has an "
+            "empty reason; every allowlist entry must say why the "
+            "divergence is by design"
         ]

@@ -1,19 +1,20 @@
-"""Differential suite for the span-compiled trace engine.
+"""Differential suite for the kernel's trace segments.
 
-``StepKernel.run_trace`` run-length-encodes a segment into
-constant-demand spans and steps every sample, paying demand handling once
-per span; its contract (like the rest of the kernel) is *bit-identity*
-with the reference controller.  This suite drives randomized traces built
-of long constant-demand spans — the shape the span engine compiles —
-through every strategy kind the repo ships, with and without fault plans,
-and asserts every per-step telemetry field and every accumulator matches
-the reference exactly.  It also covers:
+``StepKernel.run_trace`` steps every sample of a segment in one flat
+loop; its contract (like the rest of the kernel) is *bit-identity* with
+the reference controller.  This suite drives randomized traces built of
+long constant-demand spans, burst shelves and one-sample jitter through
+every strategy kind the repo ships, with and without fault plans, and
+asserts every per-step telemetry field and every accumulator matches the
+reference exactly.  It also covers:
 
-* traces that settle into a fixed point or a periodic orbit inside a
-  span: a flat trace, a k>1 PCM melt/refreeze cycle, the Yahoo trace held
-  at 60 s and the plateau trace of ``bench_span_engine.py``;
-* the path of faulted runs under every fault kind: span-engine segments
-  split at the fault boundaries, never a per-sample ``controller.step``.
+* traces that settle into a fixed point or a periodic orbit: a flat
+  trace, a k>1 PCM melt/refreeze cycle, the Yahoo trace held at 60 s and
+  the plateau trace of ``bench_span_engine.py``;
+* the path of faulted runs under every fault kind: segments split at the
+  fault boundaries, never a per-sample ``controller.step``;
+* both time sources of the loop: the explicit times of
+  ``controller.step`` and a segment's ``i * dt_s`` timestamps.
 """
 
 from __future__ import annotations
@@ -124,19 +125,6 @@ def run_both(trace, strategy_kind, fault_plan=None):
 
 
 class TestSpanView:
-    def test_spans_roundtrip(self):
-        trace = span_trace(7)
-        spans = trace.spans()
-        rebuilt = np.concatenate(
-            [np.full(s.length, s.demand) for s in spans]
-        )
-        assert np.array_equal(rebuilt, trace.samples)
-        assert spans[0].start == 0
-        assert spans[-1].end == len(trace)
-        for a, b in zip(spans, spans[1:]):
-            assert a.end == b.start
-            assert a.demand != b.demand
-
     def test_span_stats_constant_trace(self):
         trace = Trace(np.full(100, 0.5), dt_s=1.0, name="flat")
         stats = trace.span_stats()
@@ -317,6 +305,51 @@ class TestFaultedSegments:
         assert_results_identical(fast, ref)
 
 
+class TestTimeSources:
+    """The step loop takes each step's time from its caller: the explicit
+    ``time_s`` of ``controller.step``, or ``i * trace.dt_s`` in a
+    segment."""
+
+    @pytest.mark.parametrize("kind", ("greedy", "heuristic"))
+    def test_explicit_times_off_the_step_grid(self, kind):
+        """``controller.step`` at times no ``step_index * dt`` produces:
+        the kernel's one-sample segments equal the reference step for
+        step, and each returned step equals its history row."""
+        steps = {}
+        for use_kernel in (True, False):
+            controller = build_datacenter(SMALL).controller(
+                STRATEGY_FACTORIES[kind](), use_kernel=use_kernel
+            )
+            time_s = 0.37
+            returned = []
+            for i, demand in enumerate(span_trace(5, n=300)):
+                step = controller.step(demand, time_s, i)
+                assert step == controller.history[i]
+                returned.append(step)
+                time_s += 1.0 + 0.013 * (i % 7)
+            steps[use_kernel] = returned
+        assert steps[True] == steps[False]
+        assert any(step.in_burst for step in steps[True])
+
+    def test_segment_timestamps_far_from_step_zero(self):
+        """A segment starting at step 1,000,003 with a 0.1 s period times
+        step ``i`` as ``i * 0.1``, as the reference does; summing
+        ``start * dt + j * dt`` instead moves 180 of these 900 stamps."""
+        trace = span_trace(9, n=900, dt_s=0.1)
+        logs = {}
+        for use_kernel in (True, False):
+            controller = build_datacenter(DataCenterConfig(dt_s=0.1)).controller(
+                GreedyStrategy(), use_kernel=use_kernel
+            )
+            controller.run_trace(trace, start_index=1_000_003)
+            logs[use_kernel] = controller.history
+        assert logs[True] == logs[False]
+        assert np.array_equal(
+            logs[True].column("time_s"),
+            np.arange(1_000_003, 1_000_903) * 0.1,
+        )
+
+
 class TestSteadyCycle:
     """Traces that settle into a fixed point or a periodic orbit inside a
     constant-demand span.  The engine steps every sample of them, and each
@@ -406,9 +439,9 @@ class TestSteadyCycle:
     with_fault=st.booleans(),
 )
 def test_span_engine_property(seed, kind, with_fault):
-    """Property: span-compiled runs are bit-identical to the reference
-    for every strategy kind, on random long-constant-span traces, with
-    and without fault plans."""
+    """Property: kernel runs are bit-identical to the reference for every
+    strategy kind, on random long-constant-span traces, with and without
+    fault plans."""
     trace = span_trace(seed, n=420)
     plan = None
     if with_fault:

@@ -7,9 +7,12 @@ benchmark runs here.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -215,3 +218,33 @@ def test_time_row_refuses_unequal_results(tmp_path):
     assert row["iterations"] == 2 and row["repeat"] >= 1
     with pytest.raises(SystemExit, match="row: the parent and the change differ"):
         pairs.time_row("row", {"parent": lambda: 1.0, "change": lambda: 2.0}, sides, 2)
+
+
+@dataclasses.dataclass(frozen=True)
+class _BatchRun:
+    """Stands in for ``BatchRunResult``: result arrays plus the kernel."""
+
+    served: np.ndarray
+    kernel: object
+
+
+def test_time_row_compares_results_without_their_kernel(tmp_path):
+    """Results whose kernel objects differ but whose arrays are equal
+    pair; a differing array still stops the tool."""
+    sides = {
+        "parent": pairs.Side(_package(tmp_path / "parent", 1.0)),
+        "change": pairs.Side(_package(tmp_path / "change", 1.0)),
+    }
+    served = np.linspace(0.0, 1.0, 5)
+    kernels = {
+        "parent": lambda: _BatchRun(served, SimpleNamespace(_tp_b=2.0)),
+        "change": lambda: _BatchRun(served, SimpleNamespace(_throughput=None)),
+    }
+    row = pairs.time_row("row", kernels, sides, 2)
+    assert row["iterations"] == 2
+    shifted = {
+        "parent": kernels["parent"],
+        "change": lambda: _BatchRun(served + 1e-12, SimpleNamespace()),
+    }
+    with pytest.raises(SystemExit, match="row: the parent and the change differ"):
+        pairs.time_row("row", shifted, sides, 2)
