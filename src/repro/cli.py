@@ -724,10 +724,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON fault-plan applied to every "
                             "sensitivity-sweep run")
     sweep.add_argument("--scalar-oracle", action="store_true",
-                       help="disable the vector Oracle and packing tiers "
-                            "(Oracle searches and table points then run "
-                            "on the scalar span engine; for differential "
-                            "debugging)")
+                       help="disable vector packing of --headroom/--pue "
+                            "sweep runs (each then runs on the scalar span "
+                            "engine, as Oracle searches and table points "
+                            "always do; for differential debugging)")
     sweep.set_defaults(func=_cmd_sweep)
 
     cache = subparsers.add_parser(

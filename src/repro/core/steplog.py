@@ -81,7 +81,7 @@ class StepLog:
     def append(self, step: "ControlStep") -> None:
         """Append one ``ControlStep`` (list-compatible entry point)."""
         if self._n >= len(self._phase):
-            self.reserve(2 * len(self._phase))
+            self.reserve(self._n + 1)
         i = self._n
         cols = self._cols
         for name in _FLOAT_FIELDS:
@@ -94,12 +94,14 @@ class StepLog:
         """Ensure capacity for at least ``n`` total rows without realloc.
 
         The step kernel calls this once per segment so its loop can write
-        into stable column arrays; ``append`` grows through it, doubling
-        the capacity.
+        into stable column arrays; ``append`` grows through it.  Capacity
+        doubles until it fits ``n``, from at least one row: a snapshot of
+        an empty log has none.
         """
         capacity = len(self._phase)
         if n <= capacity:
             return
+        capacity = max(1, capacity)
         while capacity < n:
             capacity *= 2
         for name, col in self._cols.items():

@@ -64,15 +64,11 @@ from repro.simulation.config import DataCenterConfig, DEFAULT_CONFIG
 from repro.simulation.datacenter import build_datacenter
 from repro.simulation.engine import (
     DEFAULT_ORACLE_GRID,
-    shared_prefix_envelope,
     shared_prefix_oracle_search,
     simulate_strategy,
 )
 from repro.simulation.faults import FaultPlan
-from repro.simulation.packing import (
-    packed_point_searches as packed_point_searches,
-    vector_pack_tasks as vector_pack_tasks,
-)
+from repro.simulation.packing import vector_pack_tasks as vector_pack_tasks
 from repro.simulation.scheduler import (
     BACKEND_NAMES as BACKEND_NAMES,
     InProcessScheduler,
@@ -581,12 +577,11 @@ def _oracle_point_search(
 ) -> Optional[Tuple[float, float]]:
     """One Oracle search: fast path first, reference fallback.
 
-    The pruned shared-prefix search serves every search inside its
-    envelope (:func:`shared_prefix_envelope`), with or without a fault
-    plan; outside it each candidate runs once on the span engine,
-    bit-identically.  A one-point vector batch is never formed here: a
-    search's candidates alone are far narrower than
-    :data:`~repro.simulation.packing.MIN_PACK_WIDTH` lanes.
+    The pruned shared-prefix search serves every search it accepts (see
+    :func:`shared_prefix_oracle_search`: every fault-free grid of valid
+    bounds, and every faulted grid whose bounds are all at least 1.0);
+    any other search runs each candidate once on the span engine,
+    bit-identically.
 
     Returns ``(best_bound, best_performance)``, or ``None`` when every
     candidate's run failed (the caller owns the error message — the table
@@ -906,8 +901,8 @@ class SweepRunner:
     ) -> UpperBoundTable:
         """Pre-compute the Oracle upper-bound table (Section V-A), batched.
 
-        Each uncached grid point runs as one Oracle search
-        (:meth:`_run_point_searches` picks the tier); with multiple
+        Each uncached grid point runs as one Oracle search on the
+        scheduler backend (:func:`_oracle_point_search`); with multiple
         workers the points fan out over the persistent pool, one search
         per point, and with a cache directory each point caches as one
         search entry.  The per-point strict argmax matches the serial
@@ -944,7 +939,7 @@ class SweepRunner:
                 self.misses += 1
                 pending.append(p)
         if pending:
-            computed = self._run_point_searches(
+            computed = self._scheduler.run_point_searches(
                 [traces[points[p]] for p in pending], cand, config
             )
             for p, found in zip(pending, computed):
@@ -967,37 +962,6 @@ class SweepRunner:
                 upper_bound=found[0],
             )
         return table
-
-    def _run_point_searches(
-        self,
-        point_traces: Sequence[Trace],
-        candidates: Tuple[float, ...],
-        config: DataCenterConfig,
-    ) -> List[Optional[Tuple[float, float]]]:
-        """Run the uncached grid-point searches on the fastest valid tier.
-
-        Inside the shared-prefix envelope (:func:`shared_prefix_envelope`,
-        the predicate the search itself checks; a grid with sub-normal
-        candidates is inside it when at least one candidate is at least
-        1.0) every point runs one pruned shared-prefix search through the
-        scheduler backend; these beat the packed batch on every measured
-        grid.  Outside it the
-        vector-packed tier fuses the whole table build (every point x
-        every candidate) into few kernel batches, and when that declines
-        too (toggle off, incompatible traces, batches narrower than
-        :data:`~repro.simulation.packing.MIN_PACK_WIDTH`) the searches go
-        to the scheduler backend, which keeps the per-point strict argmax
-        semantics.
-        """
-        if self.vector_pack and not shared_prefix_envelope(
-            build_datacenter(config), candidates
-        ):
-            packed = packed_point_searches(point_traces, candidates, config)
-            if packed is not None:
-                return packed
-        return self._scheduler.run_point_searches(
-            point_traces, candidates, config
-        )
 
     # ------------------------------------------------------------------
     # The shared artifact store (content-addressed result cache)

@@ -14,16 +14,15 @@ performances, the same strict first-wins tie-break, the same exclusion of
 failed candidates, and the same :class:`~repro.errors.SimulationError`
 when every candidate fails.
 
-:func:`vector_oracle_search` runs one Oracle search as one batch.  Its
-validity envelope is wider than the shared-prefix search's (no
-coast-safety or candidate >= 1.0 requirements) because the batch advances
-every candidate with real physics — nothing is fast-forwarded.  The sweep
+:func:`vector_oracle_search` runs one Oracle search as one batch,
+advancing every candidate with real physics from sample 0.  The sweep
 runner no longer calls it: a single search's candidates make a batch far
 narrower than :data:`~repro.simulation.packing.MIN_PACK_WIDTH` lanes, and
 a batch that narrow is slower than one span-engine run per candidate, so
 Oracle searches resolve shared-prefix -> per-candidate reference.  The
-vector tier's remaining sweep traffic is
-:mod:`repro.simulation.packing`, which reads the module-level toggle
+vector tier's one remaining sweep caller is
+:func:`repro.simulation.packing.vector_pack_tasks` (``run_tasks``
+batches), which reads the module-level toggle
 (:func:`set_vector_oracle_enabled`, surfaced as ``repro sweep
 --scalar-oracle``) that forces the scalar paths for differential
 debugging.

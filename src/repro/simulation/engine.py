@@ -384,11 +384,11 @@ def build_upper_bound_table(
     For every (burst duration, burst degree) grid point a synthetic burst
     trace is generated (Yahoo-style by default, matching the paper's
     sweep), the Oracle search is run, and the optimal bound is recorded.
-    The Prediction strategy consumes the result at run time.  Inside the
-    shared-prefix envelope every point runs one pruned shared-prefix
-    search; outside it the grid runs as packed vector batches when
-    points x candidates fill :data:`~repro.simulation.packing.MIN_PACK_WIDTH`
-    lanes, and one span-engine run per candidate otherwise.
+    The Prediction strategy consumes the result at run time.  Every point
+    runs one pruned shared-prefix search
+    (:func:`shared_prefix_oracle_search`); a grid that search declines (a
+    candidate that is not a valid bound) runs one span-engine run per
+    candidate, which raises the bound's error.
 
     Parameters
     ----------
@@ -440,16 +440,17 @@ def build_upper_bound_table(
 def _coast_safe(datacenter: DataCenter) -> bool:
     """True when *any* sub-capacity demand leaves a fresh facility frozen.
 
-    With demand ≤ 1.0 the realized degree is ≤ 1.0 for every candidate
-    bound ≥ 1.0, so the only way pre-burst state can move is a substrate
-    element running at (or beyond) its rating even at peak-normal load.
-    These checks are static in the config: peak-normal IT heat within the
-    chiller's removal capacity (room holds its setpoint), per-PDU IT power
-    within the PDU breaker rating (no thermal accumulation, no UPS
-    assist), and total facility draw within the DC breaker rating.  When
-    they hold, batteries stay full, breakers stay cold, the room stays at
-    setpoint — the fresh facility *is* the state at burst onset, and the
-    baseline run can skip the quiescent prefix entirely.
+    With demand ≤ 1.0 the realized degree is ≤ 1.0 whatever the bound, so
+    the only way pre-burst state can move is a substrate element running
+    at (or beyond) its rating even at peak-normal load.  These checks are
+    static in the config: peak-normal IT heat within the chiller's
+    removal capacity (room holds its setpoint), per-PDU IT power within
+    the PDU breaker rating (no thermal accumulation, no UPS assist), and
+    total facility draw within the DC breaker rating.  When they hold,
+    batteries stay full, breakers stay cold, the room stays at setpoint —
+    the fresh facility *is* the state at burst onset, and the baseline run
+    can skip the quiescent prefix entirely.  A bound below 1.0 changes
+    only the demand served before onset, which no performance counts.
     """
     cluster = datacenter.cluster
     topology = datacenter.topology
@@ -501,40 +502,6 @@ def _tails_hold(datacenter: DataCenter, settings: "ControllerSettings") -> bool:
     )
 
 
-def shared_prefix_envelope(
-    datacenter: DataCenter,
-    candidates: Sequence[float],
-    fault_plan: Optional[FaultPlan] = None,
-) -> bool:
-    """Whether the shared-prefix search is valid for ``candidates`` here.
-
-    Inside the envelope the controller uses the default burst detector
-    (the burst-window mask assumes it), the facility is coast-safe, and
-    every candidate is at least the normal degree, with one exception.  A
-    sub-normal candidate (a bound below 1.0) binds outside bursts too, so
-    it shares no quiescent prefix; a fault-free search still takes it when
-    at least one candidate is at least 1.0 and every sub-normal one is
-    positive, and runs it in full unless it is pruned (see
-    :func:`_sub_normal_search`).  A faulted search with a sub-normal
-    candidate runs per candidate.  The search and the sweep runner's table
-    routing both decide with this one predicate; the trace's sampling
-    period is checked per search.
-    """
-    if not candidates:
-        return False
-    sub_normal = [float(c) for c in candidates if float(c) < 1.0]
-    if sub_normal and (
-        fault_plan is not None
-        or len(sub_normal) == len(candidates)
-        or not all(c > 0.0 for c in sub_normal)
-    ):
-        return False
-    probe = datacenter.controller(FixedUpperBoundStrategy(float(candidates[0])))
-    if probe.detector.capacity != 1.0:
-        return False
-    return _coast_safe(datacenter)
-
-
 def optimistic_performance(
     cluster: "ServerCluster",
     trace: Trace,
@@ -571,8 +538,13 @@ def shared_prefix_oracle_search(
     Returns ``(best_bound, best_performance)`` bit-identical to running
     :func:`simulate_strategy` once per candidate and taking the strict
     argmax (first of equals — the lowest winning bound), or ``None`` when
-    the trace/config falls outside the fast path's validity envelope and
-    the caller must fall back to the reference per-candidate sweep.
+    the caller must fall back to the reference per-candidate sweep: for
+    no candidates, for a trace whose sampling period differs from the
+    config's, for a candidate that is not a valid bound (positive and
+    finite; the reference raises the descriptive
+    :class:`~repro.errors.ConfigurationError`), and under a fault plan for
+    a candidate below 1.0, where a degraded step can serve more than the
+    bound's capacity and the pruning bound would not hold.
 
     Candidate runs that fail (recoverable substrate errors escaping a
     no-fault run) are excluded exactly as the reference path excludes
@@ -587,18 +559,14 @@ def shared_prefix_oracle_search(
     """
     if abs(trace.dt_s - config.dt_s) > 1e-9:
         return None  # reference path raises the descriptive ConfigurationError
-    datacenter = build_datacenter(config)
-    if not shared_prefix_envelope(datacenter, candidates, fault_plan):
+    bounds = [float(c) for c in candidates]
+    floor = 0.0 if fault_plan is None else 1.0
+    if not bounds or not all(0.0 < b < math.inf and b >= floor for b in bounds):
         return None
+    datacenter = build_datacenter(config)
     if fault_plan is not None:
         return _shared_prefix_with_faults(datacenter, trace, candidates, fault_plan)
-    normal = [i for i, c in enumerate(candidates) if not float(c) < 1.0]
-    if len(normal) == len(candidates):
-        best, performance = _shared_prefix_no_faults(datacenter, trace, candidates)
-    else:
-        best, performance = _sub_normal_search(
-            datacenter, trace, candidates, normal
-        )
+    best, performance = _shared_prefix_no_faults(datacenter, trace, candidates)
     if best is None:
         raise SimulationError(
             "oracle search failed: every candidate upper bound's run "
@@ -706,27 +674,35 @@ def _shared_prefix_no_faults(
     trace: Trace,
     candidates: Sequence[float],
 ) -> Tuple[Optional[int], float]:
-    """Fault-free search: the baseline coasts to burst onset and runs its
-    burst window; each candidate's suffix ends at the last burst sample.
+    """Fault-free search: the baseline runs up to the last burst sample,
+    and each candidate's suffix ends there too.
+
+    On a coast-safe facility (:func:`_coast_safe`) every candidate, a
+    sub-normal one included, reaches burst onset in the fresh facility's
+    state, so the baseline starts there; a sub-normal candidate diverges
+    at onset, where the needed degree first exceeds 1.0.  Elsewhere the
+    baseline starts at sample 0 and a burst-free trace runs to its end.
 
     Returns the winner's index and performance; the index is ``None``
     (and the performance NaN) when every candidate fails.  The truncation
     at the last burst sample hides post-burst failures (battery recharge
     against live breaker budgets), so the descent verifies the
-    provisional winner: unless :func:`_tails_hold` certifies its tail, it
-    re-runs the tail with real physics, and a tail that raises demotes it
-    to failed — exactly the reference path's NaN for that candidate.
+    provisional winner: unless :func:`_tails_hold` certifies its tail on
+    a coast-safe facility, it re-runs the tail with real physics, and a
+    tail that raises demotes it to failed — exactly the reference path's
+    NaN for that candidate.
     """
     samples = trace.samples
     n = int(samples.size)
-    mask = samples > 1.0
-    if not bool(mask.any()):
+    burst = np.flatnonzero(samples > 1.0)
+    coast = _coast_safe(datacenter)
+    if coast and not burst.size:
         # No burst: every candidate serves the whole trace at performance
         # 1.0 (coast-safety established no run can fail), and the strict
         # argmax keeps the first candidate.
         return 0, 1.0
-    first = int(np.argmax(mask))
-    last = n - 1 - int(np.argmax(mask[::-1]))
+    first = int(burst[0]) if coast else 0
+    last = int(burst[-1]) if burst.size else n - 1
 
     cluster = datacenter.cluster
     eff, base_bound, eff_base = _effective_bounds(datacenter, candidates)
@@ -734,9 +710,9 @@ def _shared_prefix_no_faults(
         cluster, samples[first : last + 1], eff, eff_base, first
     )
 
-    # Instrumented baseline: the largest candidate, from burst onset on a
-    # fresh facility (valid by _coast_safe), run as segments cut at the
-    # divergence frontiers with a snapshot taken at each cut.
+    # Instrumented baseline: the largest candidate on a fresh facility,
+    # run as segments cut at the divergence frontiers with a snapshot
+    # taken at each cut.
     controller = _fresh_run(datacenter, base_bound)
     snapshots: Dict[int, FacilityState] = {}
     base_failed_at: Optional[int] = None
@@ -785,7 +761,7 @@ def _shared_prefix_no_faults(
         return optimistic_performance(cluster, trace, eff[idx])
 
     settings = controller.settings
-    certified = _tails_hold(datacenter, settings)
+    certified = coast and _tails_hold(datacenter, settings)
     threshold = datacenter.cooling.room.threshold_c
 
     def tail_holds(idx: int) -> bool:
@@ -797,50 +773,6 @@ def _shared_prefix_no_faults(
         return _run_segment(resumed, trace, last + 1, n) is None
 
     found = descend(eff, run, optimistic, prefilled, tail_holds)
-    if found.best is None:
-        return None, math.nan
-    return found.best, found.scores[found.best]
-
-
-def _sub_normal_search(
-    datacenter: DataCenter,
-    trace: Trace,
-    candidates: Sequence[float],
-    normal: Sequence[int],
-) -> Tuple[Optional[int], float]:
-    """Fault-free search over a grid with sub-normal candidates.
-
-    The candidates at or above 1.0 (indices ``normal``) run the pruned
-    shared-prefix search.  Each sub-normal candidate then runs in full
-    from a reset facility, as the per-candidate reference runs it, unless
-    its :func:`optimistic_performance` (times the descent's
-    ``_PRUNE_MARGIN``) cannot beat the best found so far; the descent
-    visits them highest bound first and takes the first-wins argmax over
-    the whole list in candidate order.  The other normal candidates are
-    prefilled as NaN: each scores below the normal winner or ties it
-    later in candidate order, so none could be that argmax.
-    """
-    best, performance = _shared_prefix_no_faults(
-        datacenter, trace, [candidates[i] for i in normal]
-    )
-    prefilled = {i: math.nan for i in normal}
-    if best is not None:
-        prefilled[normal[best]] = performance
-    bounds = [float(c) for c in candidates]
-    cluster = datacenter.cluster
-    n = len(trace)
-
-    def run(idx: int) -> float:
-        controller = _fresh_run(datacenter, bounds[idx])
-        if _run_segment(controller, trace, 0, n) is not None:
-            return math.nan
-        served = controller.history.column("served")
-        return average_performance_improvement(served, trace)
-
-    def optimistic(idx: int) -> float:
-        return optimistic_performance(cluster, trace, bounds[idx])
-
-    found = descend(bounds, run, optimistic, prefilled)
     if found.best is None:
         return None, math.nan
     return found.best, found.scores[found.best]
@@ -871,8 +803,8 @@ def _shared_prefix_with_faults(
     serves at most ``min(effective, capacity(b))`` because its degree
     never exceeds the effective bound ``b``; a degraded step serves at
     most the surviving share of ``capacity(1.0)``, and ``capacity(1.0)``
-    is at most ``capacity(b)`` because the envelope keeps every candidate
-    at or above 1.0.
+    is at most ``capacity(b)`` because :func:`shared_prefix_oracle_search`
+    passes only candidates at or above 1.0 with a fault plan.
     """
     samples = trace.samples
     n = int(samples.size)

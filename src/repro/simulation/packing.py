@@ -19,9 +19,10 @@ batches:
   kernel does not model).
 * :func:`packed_point_searches` fuses a whole upper-bound-table build —
   every grid point x every candidate — into one batch per trace-length
-  group, instead of one kernel run per grid point.  The sweep runner
-  calls it only outside the shared-prefix search's envelope; inside it
-  the pruned per-point searches are faster.
+  group, instead of one kernel run per grid point.  No run path calls
+  it: every table build runs one pruned shared-prefix search per point.
+  It stays only because sprintbench's tracer wraps it by name, until the
+  vector tier is deleted (ROADMAP item 2).
 
 Bit-exactness is inherited, not re-proven: the kernel's contract makes
 element ``j`` bit-identical to a scalar ``FixedUpperBoundStrategy``
@@ -264,6 +265,11 @@ def packed_point_searches(
     (``dt`` mismatch raises the descriptive error on the reference path),
     a candidate is non-positive, or a trace-length group would batch
     fewer than :data:`MIN_PACK_WIDTH` lanes (points x candidates).
+
+    No run path calls it; table builds run one pruned search per point.
+    It stays only because sprintbench's tracer wraps it by name, until
+    the vector tier is deleted (ROADMAP item 2), and its tests pin the
+    packed tier's table against the per-candidate reference.
     """
     if not vector_oracle_enabled():
         return None

@@ -224,6 +224,18 @@ class TestGrowthAndSnapshots:
         assert len(log) == n
         assert log[-1] == make_step((n - 1) % 50)
 
+    def test_snapshot_of_an_empty_log_grows(self):
+        """An empty log's snapshot holds no capacity at all; ``append``
+        must grow it from zero rows, and ``reserve`` past it."""
+        log = StepLog().snapshot()
+        steps = [make_step(i) for i in range(6)]
+        log.append(steps[0])
+        log.reserve(4)
+        for step in steps[1:]:
+            log.append(step)
+        assert len(log) == len(steps)
+        assert log == steps
+
     def test_snapshot_is_independent(self, filled):
         log, steps = filled
         snap = log.snapshot()

@@ -1,11 +1,12 @@
 """Backend identity: the scheduler contract, pinned.
 
 Both :class:`SweepScheduler` backends — and the vector-packed tier that
-runs in front of them — must produce results element-wise identical to
-the serial in-process reference, for successes, for cached replays and
-for failures.  The parametrized tests here difference each backend
-against the same reference results, so a new backend joins the contract
-by joining ``BACKENDS``.
+runs ``run_tasks`` batches in front of them — must produce results
+element-wise identical to the serial in-process reference, for
+successes, for cached replays and for failures.  No backend forms a
+vector batch for an upper-bound table.  The parametrized tests here
+difference each backend against the same reference results, so a new
+backend joins the contract by joining ``BACKENDS``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ CANDIDATES = (2.0, 2.5, 3.0, 3.5)
 #: thing under test.
 BACKENDS = ("in-process", "process-pool", "vector-packed")
 
-#: Candidates all below 1.0 take a table build outside the shared-prefix
-#: envelope, where the ``vector-packed`` leg packs the whole table into one
-#: batch; inside it (any candidate >= 1.0) every backend runs one search
-#: per point.
+#: Candidates all below 1.0: with the lane floor pinned to 2, the table's
+#: 4 points x 5 candidates would fill a packed batch, yet every backend
+#: runs it, like any other grid, as one pruned search per point.
 PACKED_TABLE_CANDIDATES = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
@@ -70,9 +70,10 @@ def make_runner(backend: str, cache_dir=None) -> SweepRunner:
 def vector_steps(monkeypatch):
     """Pin the lane floor to 2 and record each vector kernel step's width.
 
-    This suite's batches are 4-20 lanes wide, below the real
+    This suite's ``run_tasks`` batch is 4 lanes wide, below the real
     ``packing.MIN_PACK_WIDTH``; the pin keeps the ``vector-packed`` leg on
-    the packed path, and the recorded steps show that it ran there.
+    the packed path, and the recorded steps show that it ran there (and
+    that no table build packs, even with the floor this low).
     """
     monkeypatch.setattr(packing, "MIN_PACK_WIDTH", 2)
     steps = []
@@ -163,9 +164,7 @@ class TestBackendIdentity:
         finally:
             runner.close()
         assert table.entries() == reference_packed_table.entries()
-        # One batch: 4 points x 5 candidates, stepped together.
-        packed = {20} if backend == "vector-packed" else set()
-        assert set(vector_steps) == packed
+        assert vector_steps == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cached_failure_replays_without_execution(

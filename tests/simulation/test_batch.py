@@ -582,10 +582,10 @@ class TestFailureAwareSearch:
             return real(task)
 
         monkeypatch.setattr("repro.simulation.batch.execute_task", selective)
-        # The shared-prefix and packed fast paths simulate in-process
-        # (they never go through execute_task), so force the reference
-        # per-candidate fallback — the path whose failure-aware reduction
-        # is under test.
+        # The shared-prefix search and the packed run_tasks tier simulate
+        # in-process (they never go through execute_task), so force the
+        # reference per-candidate fallback — the path whose failure-aware
+        # reduction is under test.
         monkeypatch.setattr(
             "repro.simulation.batch.shared_prefix_oracle_search",
             lambda *args, **kwargs: None,
@@ -593,10 +593,6 @@ class TestFailureAwareSearch:
         monkeypatch.setattr(
             "repro.simulation.batch.vector_pack_tasks",
             lambda tasks: [None] * len(tasks),
-        )
-        monkeypatch.setattr(
-            "repro.simulation.batch.packed_point_searches",
-            lambda *args, **kwargs: None,
         )
         return SweepRunner(max_workers=1, cache_dir=tmp_path)
 

@@ -12,8 +12,9 @@ so every committed bound rests on one inequality per search kind:
   :func:`~repro.simulation.rollout.optimistic_score` over its forecast.
 
 Hypothesis draws random traces, a fault of every kind and candidate
-grids at or above the normal degree on the two-PDU facility, and checks
-each inequality exactly — no slack, so a bound tightened by a fraction
+grids on the two-PDU facility (any positive bound without faults, at or
+above the normal degree with them and in rollouts), and checks each
+inequality exactly — no slack, so a bound tightened by a fraction
 of a percent fails here.  The effective-demand helper is pinned against
 the demand column reference runs log.
 """
@@ -98,6 +99,9 @@ def faults(draw, kind, n=240):
 grids = st.lists(
     st.floats(min_value=1.0, max_value=5.0), min_size=1, max_size=4
 )
+#: Fault-free searches prune sub-normal bounds in the same descent, so
+#: their grids are the differential suite's positive ones.
+positive_grids = test_shared_prefix.positive_grids
 
 
 def performances(trace, grid, plan=None):
@@ -117,7 +121,7 @@ def performances(trace, grid, plan=None):
 
 
 class TestOracleBound:
-    @given(trace=traces(), grid=grids)
+    @given(trace=traces(), grid=positive_grids)
     @settings(**SETTINGS)
     def test_fault_free_runs(self, trace, grid):
         for bound, perf in performances(trace, grid):

@@ -11,15 +11,18 @@ tie-breaking shows up as a hard mismatch.
 
 The searches also pin their *path*: every search here must run as
 span-engine segments, so a per-sample ``controller.step`` call (the slow
-path a silent fallback would take) fails the test, and the paper's trace
-shapes must be served by the shared-prefix search rather than declined.
-The pruning is pinned the same way: every reference performance must lie
-under the optimistic bound the search prunes with, a pruned candidate
-must still win when the provisional winner's tail really trips, only
-uncertified tails may be re-run, the paper's searches must stay under
-their pruned ``run_trace`` counts, the faulted
-searches must make exactly their pruned single-pass counts, and table
-builds inside the envelope must run one search per point, never the
+path a silent fallback would take) fails the test, the paper's trace
+shapes must be served by the shared-prefix search rather than declined,
+and so must every fault-free grid of positive bounds (a Hypothesis
+property, on a coast-safe and a coast-unsafe facility) and every faulted
+grid at or above 1.0.  A coast-safe search's baseline must start at
+burst onset and a coast-unsafe one's at sample 0.  The pruning is pinned
+the same way: every reference performance must lie under the optimistic
+bound the search prunes with, a pruned candidate must still win when the
+provisional winner's tail really trips, only uncertified tails may be
+re-run, the paper's searches must stay under their pruned ``run_trace``
+counts, the faulted searches must make exactly their pruned single-pass
+counts, and every table build must run one search per point, never a
 packed vector batch.
 
 This file is the differential suite CI runs in the benchmark-smoke job
@@ -33,10 +36,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.strategies import FixedUpperBoundStrategy
 from repro.core.vector_kernel import VectorStepKernel
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.simulation import batch as batch_module
 from repro.simulation import engine
 from repro.simulation.batch import SweepRunner
@@ -56,6 +60,12 @@ from repro.workloads.traces import Trace
 from repro.workloads.yahoo_trace import generate_yahoo_trace
 
 SMALL = DataCenterConfig(n_pdus=2, servers_per_pdu=50)
+
+#: A facility ``engine._coast_safe`` rejects: without DC headroom its
+#: peak-normal draw rounds one ulp above the DC breaker's rating.
+COAST_UNSAFE = DataCenterConfig(
+    n_pdus=2, servers_per_pdu=50, dc_headroom_fraction=0.0, pue=1.38
+)
 
 #: An ascending grid with clamp-induced ties: 4.5 and 5.0 both clamp to
 #: the cluster's max degree, so they duplicate 4.0's run exactly.
@@ -334,10 +344,9 @@ class TestPaperTraceShapes:
 
 
 class TestTableRouting:
-    """Table builds inside the shared-prefix envelope run one pruned
-    search per point and no vector step, also with a sub-1.0 candidate
-    beside bounds >= 1.0; outside it (every candidate below 1.0) the grid
-    still runs as one packed batch."""
+    """Every table build runs one pruned search per point and no vector
+    step, also with a sub-1.0 candidate beside bounds >= 1.0 and with
+    every candidate below 1.0."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -418,11 +427,23 @@ class TestTableRouting:
             found[0] for found in packed
         ]
 
-    def test_all_sub_normal_grid_keeps_the_packed_batch(self, counts):
+    def test_all_sub_normal_grid_runs_one_search_per_point(self, counts):
+        """24 points x 3 candidates is wide enough to pack, so the packed
+        tier's table is the reference."""
+        candidates = (0.5, 0.7, 0.9)
         with SweepRunner(max_workers=1) as runner:
-            runner.build_upper_bound_table(candidates=(0.5, 0.7, 0.9))
-        assert counts["demand_matrix"] == 1
-        assert counts["search"] == 0
+            table = runner.build_upper_bound_table(candidates=candidates)
+        assert counts == {"search": 24, "vector_step": 0, "demand_matrix": 0}
+        traces = [
+            generate_yahoo_trace(burst_degree=g, burst_duration_min=d)
+            for d in (1.0, 5.0, 10.0, 15.0)
+            for g in (2.6, 2.8, 3.0, 3.2, 3.4, 3.6)
+        ]
+        packed = packed_point_searches(traces, candidates, DataCenterConfig())
+        assert packed is not None
+        assert [entry[2] for entry in table.entries()] == [
+            found[0] for found in packed
+        ]
 
 
 class TestValidityEnvelope:
@@ -435,9 +456,9 @@ class TestValidityEnvelope:
         assert shared_prefix_oracle_search(coarse, GRID, SMALL) is None
 
     def test_sub_normal_bound_joins_the_pruned_search(self):
-        """A bound below the normal degree binds outside bursts, so it
-        shares no prefix: it runs in full unless pruned, beside the
-        shared-prefix search of the bounds >= 1.0.  Ties and the
+        """A bound below the normal degree serves less before burst
+        onset, which no performance counts, so it shares the baseline's
+        prefix up to onset and resumes there unless pruned.  Ties and the
         candidate order must not move the first-wins argmax."""
         for seed in (2, 5):
             trace = random_trace(seed)
@@ -454,17 +475,188 @@ class TestValidityEnvelope:
         assert fast == reference_search(trace, grid, SMALL)
         assert fast is not None and fast[0] == 0.9
 
-    def test_sub_normal_only_or_faulted_falls_back(self):
-        """Without a bound >= 1.0 there is no shared-prefix search to
-        prune against, and a faulted search keeps sub-normal bounds on
-        the per-candidate path."""
+    def test_sub_normal_only_is_served_and_faulted_falls_back(self):
+        """A grid with every bound below 1.0 takes its largest bound as
+        the baseline.  A faulted search keeps sub-normal bounds on the
+        per-candidate path: a degraded step can serve more than such a
+        bound's capacity, so the pruning bound would not hold."""
         trace = random_trace(2)
-        assert shared_prefix_oracle_search(trace, (0.5, 0.9), SMALL) is None
+        fast = shared_prefix_oracle_search(trace, (0.5, 0.9), SMALL)
+        assert fast is not None
+        assert fast == reference_search(trace, (0.5, 0.9), SMALL)
         plan = FaultPlan((FaultEvent.parse("ups@120s:fraction=0.4"),))
         fast = shared_prefix_oracle_search(
             trace, (0.5, 2.0), SMALL, fault_plan=plan
         )
         assert fast is None
+
+    @pytest.mark.parametrize(
+        "grid", ((2.0, 0.0), (2.0, -1.0), (4.0, math.inf), (math.nan,))
+    )
+    def test_invalid_bound_falls_back(self, grid):
+        """A bound that is not positive and finite falls back, so the
+        runner's search raises the reference's ConfigurationError even
+        where the bound would only have shared the baseline's run."""
+        trace = random_trace(3)
+        assert shared_prefix_oracle_search(trace, grid, SMALL) is None
+        with pytest.raises(ConfigurationError):
+            SweepRunner(max_workers=1).oracle_search(trace, grid, SMALL)
+
+
+@st.composite
+def drawn_traces(draw):
+    """A random bursty trace; one draw in four is clipped to burst-free."""
+    trace = random_trace(draw(st.integers(0, 2**31 - 1)), n=240)
+    if draw(st.integers(0, 3)) == 0:
+        return Trace(np.minimum(trace.samples, 1.0), dt_s=1.0, name="idle")
+    return trace
+
+
+#: Positive grids: bounds anywhere in (0, 5], or every bound below 1.0.
+positive_grids = st.one_of(
+    st.lists(
+        st.floats(min_value=0.0, max_value=5.0, exclude_min=True),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=1,
+        max_size=4,
+    ),
+)
+normal_grids = st.lists(
+    st.floats(min_value=1.0, max_value=5.0), min_size=1, max_size=5
+)
+
+
+def assert_served_like_reference(trace, grid, config, plan=None):
+    """The search serves the grid and matches the reference argmax, or
+    raises SimulationError exactly when every reference run fails."""
+    performances = reference_performances(trace, grid, config, plan)
+    if all(math.isnan(p) for p in performances):
+        with pytest.raises(SimulationError):
+            shared_prefix_oracle_search(trace, grid, config, fault_plan=plan)
+        return
+    fast = shared_prefix_oracle_search(trace, grid, config, fault_plan=plan)
+    assert fast is not None
+    assert fast == reference_argmax(grid, performances)
+
+
+class TestEveryPositiveGrid:
+    """The pruned search serves every fault-free grid of positive bounds,
+    sub-normal ones included, and every faulted grid at or above 1.0, on
+    a coast-safe and a coast-unsafe facility alike."""
+
+    FACILITIES = pytest.mark.parametrize(
+        "config", (SMALL, COAST_UNSAFE), ids=("coast-safe", "coast-unsafe")
+    )
+    SETTINGS = settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+    def test_coast_safety_of_the_facilities(self):
+        assert engine._coast_safe(build_datacenter(SMALL))
+        assert not engine._coast_safe(build_datacenter(COAST_UNSAFE))
+
+    @FACILITIES
+    @given(trace=drawn_traces(), grid=positive_grids)
+    @SETTINGS
+    def test_fault_free_grids(self, config, trace, grid):
+        assert_served_like_reference(trace, grid, config)
+
+    @FACILITIES
+    @given(
+        trace=drawn_traces(),
+        grid=normal_grids,
+        plan_name=st.sampled_from(sorted(TestFaultEquality.PLANS)),
+    )
+    @SETTINGS
+    def test_faulted_grids(self, config, trace, grid, plan_name):
+        plan = TestFaultEquality.PLANS[plan_name]
+        assert_served_like_reference(trace, grid, config, plan)
+
+    @pytest.mark.parametrize(
+        "grid", ((0.5, 0.9, 3.25, 3.5, 3.75), (3.75, 0.7, 0.9, 0.9))
+    )
+    def test_sub_normal_winner_after_tail_trips(self, grid):
+        """No run fails on the drawn traces, so a sub-normal bound below
+        the baseline's is always pruned there.  Without DC headroom the
+        paper facility's tails trip after a degree-3.6 x 5 min burst: each
+        sprinting bound here is demoted, and a sub-normal one resumes from
+        its frontier and wins (TestSegmentStarts pins where)."""
+        config = DataCenterConfig(dc_headroom_fraction=0.0)
+        trace = generate_yahoo_trace(burst_degree=3.6, burst_duration_min=5)
+        fast = shared_prefix_oracle_search(trace, grid, config)
+        assert fast is not None and fast[0] < 1.0
+        assert fast == reference_search(trace, grid, config)
+
+    @pytest.mark.parametrize("pue", (1.14, 1.38))
+    @pytest.mark.parametrize(
+        "grid",
+        (DEFAULT_ORACLE_GRID, (0.9,) + DEFAULT_ORACLE_GRID, (0.5, 0.9)),
+        ids=("default", "sub-normal-first", "all-sub-normal"),
+    )
+    def test_coast_unsafe_paper_facility(self, pue, grid):
+        """Without DC headroom the paper facility is coast-unsafe at these
+        PUEs; its tails are re-run, none certified."""
+        config = DataCenterConfig(dc_headroom_fraction=0.0, pue=pue)
+        assert not engine._coast_safe(build_datacenter(config))
+        trace = generate_yahoo_trace(burst_degree=3.6, burst_duration_min=5)
+        fast = shared_prefix_oracle_search(trace, grid, config)
+        assert fast is not None
+        assert fast == reference_search(trace, grid, config)
+
+
+class TestSegmentStarts:
+    """Where a search's segments start, read off ``engine._run_segment``:
+    ``(bound, start, stop)`` per call, the baseline's first."""
+
+    @pytest.fixture()
+    def segments(self, monkeypatch):
+        real_run_segment = engine._run_segment
+        calls = []
+
+        def spy(controller, trace_, start, stop):
+            calls.append((controller.strategy.upper_bound, start, stop))
+            return real_run_segment(controller, trace_, start, stop)
+
+        monkeypatch.setattr(engine, "_run_segment", spy)
+        return calls
+
+    def test_coast_safe_search_starts_at_burst_onset(
+        self, segments, controller_calls
+    ):
+        """Without DC headroom 3.5's post-burst tail trips, so the descent
+        demotes it and runs the pruned 0.9, which resumes at burst onset
+        from the baseline's snapshot there and wins."""
+        config = DataCenterConfig(dc_headroom_fraction=0.0)
+        trace = generate_yahoo_trace(burst_degree=3.6, burst_duration_min=5)
+        onset = int(np.flatnonzero(trace.samples > 1.0)[0])
+        grid = (0.9, 3.5)
+        fast = shared_prefix_oracle_search(trace, grid, config)
+        assert controller_calls["step"] == 0
+        assert segments[0][:2] == (3.5, onset)
+        sub_normal_starts = [start for bound, start, _ in segments if bound < 1.0]
+        assert sub_normal_starts and 0 not in sub_normal_starts
+        assert min(sub_normal_starts) == onset
+        assert fast is not None and fast[0] == 0.9
+        assert fast == reference_search(trace, grid, config)
+
+    @pytest.mark.parametrize("idle", (False, True), ids=("bursty", "idle"))
+    def test_coast_unsafe_baseline_starts_at_sample_zero(
+        self, segments, controller_calls, idle
+    ):
+        trace = random_trace(2)
+        if idle:
+            trace = Trace(np.minimum(trace.samples, 1.0), dt_s=1.0, name="idle")
+        grid = (0.5,) + GRID
+        fast = shared_prefix_oracle_search(trace, grid, COAST_UNSAFE)
+        assert controller_calls["step"] == 0
+        assert segments[0][:2] == (4.0, 0)
+        assert fast == reference_search(trace, grid, COAST_UNSAFE)
 
 
 class TestRunnerEntryPoint:
